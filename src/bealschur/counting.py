@@ -1,9 +1,11 @@
 """Counting solutions of x^p + y^q = z^r (mod N) and the bound chain.
 
-The exact count comes from an O(N^2) convolution of power histograms
-(frequency tables of the maps x -> x^ell mod N) with integer arithmetic;
-a Fourier-side evaluation through the exponential sums
-S_k(ell) = sum_x exp(2 pi i k x^ell / N) serves as a floating cross-check.
+The exact count comes from an O(N log N) FFT convolution of power
+histograms (frequency tables of the maps x -> x^ell mod N), rounded to
+integers under a checked rounding margin.  The trivial count (x*y*z = 0)
+is closed form.  A Fourier-side evaluation through the exponential sums
+S_k(ell) = sum_x exp(2 pi i k x^ell / N) is a floating cross-check that
+runs only when SolutionCount.fourier is read (``count --fourier``).
 verify_bound_chain evaluates the full inequality chain that forces a
 nontrivial solution once N exceeds 32 p^2 q^2 r^2, and finds a witness.
 
@@ -19,12 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidContext
-from .modmath import PrimeModulus, as_prime_modulus
+from .modmath import all_kth_roots, as_prime_modulus, kth_residue_test
 from .triplets import BSContext, BSTriplet, Residue
-
-# Above this block size the histogram convolution switches from direct
-# int64 accumulation to an FFT with a verified rounding margin.
-_DIRECT_CONVOLUTION_LIMIT = 4096
 
 _MAX_COUNTING_MODULUS = 1 << 31
 
@@ -117,46 +115,41 @@ def count_power_matches(p: int, q: int, N) -> int:
 
 
 def count_trivial(p: int, q: int, r: int, N) -> int:
-    """Exact number of solutions with x*y*z = 0 (mod N).
+    """Exact number of solutions with x*y*z = 0 (mod N), in closed form.
 
-    Inclusion-exclusion over the zero coordinate: any two coordinates zero
-    forces the third, so the three pairwise (and the triple) overlaps are
-    all the single all-zero triple.
+    Each power histogram is f_e = delta_0 + d_e * 1_{H_e}, d_e = gcd(e, N-1),
+    H_e the d_e-th powers.  Inclusion-exclusion over the zero coordinate
+    (two zeros force the third) then gives 1 + (N-1) * (gcd(d_q, d_r) +
+    gcd(d_p, d_r) + [g if -1 is a g-th power]), with g = gcd(d_p, d_q).
     """
+    if min(p, q, r) < 1:
+        raise ValueError("exponents must be positive")
     Nv = _counting_modulus(N)
-    fp = power_histogram(p, Nv).freq
-    fq = power_histogram(q, Nv).freq
-    fr = power_histogram(r, Nv).freq
-    x_zero = int(fq @ fr)  # y^q = z^r
-    y_zero = int(fp @ fr)  # x^p = z^r
-    # x^p + y^q = 0: pair f_p[a] with f_q[-a]
-    z_zero = int(fp @ np.roll(fq[::-1], 1))
-    return x_zero + y_zero + z_zero - 2
-
-
-def _plain_int(N) -> int:
-    return N.value if isinstance(N, PrimeModulus) else int(N)
+    n = Nv - 1
+    dp, dq, dr = (math.gcd(e, n) for e in (p, q, r))
+    g = math.gcd(dp, dq)
+    z_zero = g if pow(n, n // g, Nv) == 1 else 0  # n = -1 (mod N)
+    return 1 + (math.gcd(dq, dr) + math.gcd(dp, dr) + z_zero) * n
 
 
 def trivial_upper_bound(p: int, q: int, r: int, N) -> int:
     """Closed-form cap 1 + (min(q,r) + min(p,r) + min(p,q)) * (N-1)."""
-    Nv = _plain_int(N)
+    Nv = int(N)
     return 1 + (min(q, r) + min(p, r) + min(p, q)) * (Nv - 1)
 
 
 def count_lower_bound(p: int, q: int, r: int, N) -> float:
     """The guaranteed floor N^2 - (2N)^(3/2) * p*q*r on the solution count."""
-    Nv = _plain_int(N)
+    Nv = int(N)
     return Nv * Nv - (2 * Nv) ** 1.5 * p * q * r
 
 
 def _cyclic_convolution(fp: np.ndarray, fq: np.ndarray, N: int) -> np.ndarray:
-    """Exact cyclic convolution of two integer histograms."""
-    if N <= _DIRECT_CONVOLUTION_LIMIT:
-        conv = np.zeros(N, dtype=np.int64)
-        for a in np.flatnonzero(fp):
-            conv += int(fp[a]) * np.roll(fq, a)
-        return conv
+    """Exact cyclic convolution of two integer histograms, by FFT.
+
+    Raises ArithmeticError when any entry lies farther than 1e-3 from its
+    rounded integer, so a lost rounding margin never passes silently.
+    """
     approx = np.fft.irfft(np.fft.rfft(fp) * np.fft.rfft(fq), n=N)
     conv = np.rint(approx).astype(np.int64)
     if np.max(np.abs(approx - conv)) > 1e-3:
@@ -166,33 +159,35 @@ def _cyclic_convolution(fp: np.ndarray, fq: np.ndarray, N: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SolutionCount:
-    """Exact count of solutions, its Fourier estimate, and the trivial split."""
+    """Exact count of solutions of x^p + y^q = z^r (mod N) and its trivial split."""
 
+    p: int
+    q: int
+    r: int
+    N: int
     total: int
-    fourier: float
     trivial: int
     nontrivial: int
+
+    @property
+    def fourier(self) -> float:
+        """The Fourier-side cross-check of total, evaluated on each read."""
+        return count_solutions_fourier(self.p, self.q, self.r, self.N)
 
 
 def count_solutions_exact(p: int, q: int, r: int, N) -> SolutionCount:
     """Exact #{(x,y,z) : x^p + y^q = z^r (mod N)} plus the trivial split.
 
-    The count is sum over c of (f_p conv f_q)[c] * f_r[c] with integer
-    histograms, O(N^2) time and O(N) space.
+    The count is sum over c of (f_p conv f_q)[c] * f_r[c] with one power
+    histogram per distinct exponent and an FFT convolution, O(N log N)
+    time and O(N) space; the trivial count is closed form.
     """
     Nv = _counting_modulus(N)
-    fp = power_histogram(p, Nv).freq
-    fq = power_histogram(q, Nv).freq
-    fr = power_histogram(r, Nv).freq
-    conv = _cyclic_convolution(fp, fq, Nv)
-    total = int(conv @ fr)
+    freq = {e: power_histogram(e, Nv).freq for e in {p, q, r}}
+    conv = _cyclic_convolution(freq[p], freq[q], Nv)
+    total = int(conv @ freq[r])
     trivial = count_trivial(p, q, r, Nv)
-    return SolutionCount(
-        total=total,
-        fourier=count_solutions_fourier(p, q, r, Nv),
-        trivial=trivial,
-        nontrivial=total - trivial,
-    )
+    return SolutionCount(p, q, r, Nv, total, trivial, total - trivial)
 
 
 def count_solutions_fourier(p: int, q: int, r: int, N) -> float:
@@ -267,17 +262,19 @@ class BoundChainReport:
         return "\n".join(lines)
 
 
-def _find_nontrivial_witness(p: int, q: int, r: int, N: int) -> BSTriplet | None:
-    """Deterministic scan for a nontrivial solution: smallest (x, y, z)."""
-    root_of = [0] * N  # smallest nonzero z with z^r = a, or 0 if none
-    for z in range(N - 1, 0, -1):
-        root_of[pow(z, r, N)] = z
-    yq = [pow(y, q, N) for y in range(N)]
+def _find_nontrivial_witness(ctx: BSContext) -> BSTriplet | None:
+    """Deterministic scan for a nontrivial solution: smallest (x, y, z).
+
+    x, then y, run upward from 1; the first c = x^p + y^q that is a nonzero
+    r-th residue fixes the witness, with z the smallest of its r-th roots.
+    """
+    p, q, r, N = ctx.p, ctx.q, ctx.r, ctx.N
     for x in range(1, N):
         xp = pow(x, p, N)
         for y in range(1, N):
-            z = root_of[(xp + yq[y]) % N]
-            if z:
+            c = (xp + pow(y, q, N)) % N
+            if c and kth_residue_test(c, r, ctx.modulus):
+                z = min(root.value for root in all_kth_roots(c, r, ctx.modulus))
                 return BSTriplet(Residue(x, N), Residue(y, N), Residue(z, N))
     return None
 
@@ -334,7 +331,7 @@ def verify_bound_chain(ctx: BSContext) -> BoundChainReport:
         ChainCheck("count-beats-linear", M, ">", lin, M > lin),
         ChainCheck("count-beats-trivial-cap", M, ">", tub, M > tub),
     ]
-    witness = _find_nontrivial_witness(p, q, r, N)
+    witness = _find_nontrivial_witness(ctx)
     return BoundChainReport(
         p=p, q=q, r=r, N=N,
         total=M,

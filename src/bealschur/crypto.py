@@ -33,7 +33,7 @@ from .errors import (
     SchemeMismatch,
 )
 from .modmath import Residue, all_kth_roots, as_prime_modulus
-from .triplets import BSContext, find_bs_pair, is_bs_triplet
+from .triplets import BSContext, find_bs_pair
 
 SCHEMES = ("I", "II", "III")
 
@@ -138,20 +138,25 @@ class Ciphertext:
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines or not lines[0].startswith("BSCT v1 "):
             raise SchemeMismatch("not a BSCT v1 ciphertext")
-        header = dict(f.split("=", 1) for f in lines[0].split()[2:])
+        fields = [f.partition("=") for f in lines[0].split()[2:]]
+        if not all(sep for _, sep, _ in fields):
+            raise SchemeMismatch("header field without '='")
+        header = {key: value for key, _, value in fields}
         scheme = header.get("scheme", "")
-        count = int(header.get("blocks", "-1"))
-        if count != len(lines) - 1:
-            raise SchemeMismatch(f"expected {count} blocks, found {len(lines) - 1}")
-        pairs, indices = [], []
-        for ln in lines[1:]:
-            parts = ln.split()
-            pairs.append((int(parts[0]), int(parts[1])))
-            if len(parts) > 2:
-                indices.append(int(parts[2]))
+        try:
+            count = int(header.get("blocks", "-1"))
+            rows = [tuple(map(int, ln.split())) for ln in lines[1:]]
+        except ValueError:
+            raise SchemeMismatch("non-integer blocks= or pair token") from None
+        if count != len(rows):
+            raise SchemeMismatch(f"expected {count} blocks, found {len(rows)}")
+        if any(len(row) not in (2, 3) for row in rows):
+            raise SchemeMismatch("a pair line needs 2 or 3 integers")
+        pairs = tuple(row[:2] for row in rows)
+        indices = tuple(row[2] for row in rows if len(row) == 3)
         if indices and len(indices) != len(pairs):
             raise SchemeMismatch("context indices missing on some blocks")
-        return cls(scheme, tuple(pairs), tuple(indices) if indices else None)
+        return cls(scheme, pairs, indices or None)
 
 
 def _encrypt_blocks(msg: bytes, ctx: BSContext, rng: random.Random) -> list[tuple[int, int]]:
@@ -293,7 +298,8 @@ def decrypt_III(ct: Ciphertext, contexts, split) -> bytes:
     # empty segments produce no pairs, so runs <= n
     if len(runs) > n:
         raise PartitionMismatch(f"{len(runs)} pair runs for {n} segments")
-    nonempty = [i for i in order if _has_blocks(ct, i)]
+    present = set(ct.ctx_indices)
+    nonempty = [i for i in order if i in present]
     if len(runs) != len(nonempty):
         raise PartitionMismatch("run structure does not match the split")
     segments: dict[int, bytes] = {i: b"" for i in order}
@@ -301,15 +307,3 @@ def decrypt_III(ct: Ciphertext, contexts, split) -> bytes:
         segments[i] = _decrypt_blocks(run, ctxs[i - 1])
     return b"".join(segments[i] for i in sorted(segments))
 
-
-def _has_blocks(ct: Ciphertext, segment_index: int) -> bool:
-    return segment_index in (ct.ctx_indices or ())
-
-
-def verify_pairs(ct: Ciphertext, ctx: BSContext, blocks) -> bool:
-    """Check every (x, y) against its block's z (diagnostic helper)."""
-    if len(ct.pairs) != len(blocks):
-        return False
-    return all(
-        is_bs_triplet(x, y, z, ctx) for (x, y), z in zip(ct.pairs, blocks)
-    )

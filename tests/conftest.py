@@ -5,9 +5,21 @@ primality, exhaustive power enumeration and the O(N^3) triple loop serve
 as ground truth for the fast implementations.
 """
 
+import os
 import random
+from pathlib import Path
 
 import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.fixture(autouse=True)
+def src_on_child_pythonpath(monkeypatch):
+    """Child interpreters import bealschur from src/ whatever their cwd."""
+    inherited = os.environ.get("PYTHONPATH")
+    paths = [str(SRC)] + ([inherited] if inherited else [])
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(paths))
 
 
 def sieve_primes(limit):
@@ -55,6 +67,17 @@ def brute_force_count(p, q, r, N):
         for c in zr
         if (a + b - c) % N == 0
     )
+
+
+def brute_force_witness(p, q, r, N):
+    """Smallest nontrivial (x, y, z) by x, then y, then exhaustive z search."""
+    zr = [pow(z, r, N) for z in range(N)]
+    for x in range(1, N):
+        for y in range(1, N):
+            c = (pow(x, p, N) + pow(y, q, N)) % N
+            if c and c in zr:
+                return x, y, zr.index(c, 1)
+    return None
 
 
 def kth_powers(k, N):

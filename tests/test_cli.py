@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from bealschur import counting
 from bealschur.cli import run
 from bealschur.keygen import parse_key, serialize_fields
 
@@ -59,6 +60,32 @@ class TestCountCommand:
         assert any(ln == f"brute={m}" for ln in lines)
         fourier = float(next(ln for ln in lines if ln.startswith("fourier=")).split("=")[1])
         assert round(fourier) == m
+
+    def test_fourier_runs_only_on_request(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("Fourier cross-check ran without --fourier")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(counting, "count_solutions_fourier", refuse)
+            code, out, _ = invoke(
+                capsys, "verify", "--p", "2", "--q", "2", "--r", "2", "--modulus", "2053"
+            )
+            assert code == 0
+            assert out.splitlines()[-1].startswith("WITNESS ")
+            code, out, _ = invoke(
+                capsys, "count", "--p", "2", "--q", "4", "--r", "8", "--modulus", "131101"
+            )
+            assert code == 0
+            assert len(out.splitlines()) == 1
+        code, out, _ = invoke(
+            capsys, "count", "--p", "2", "--q", "4", "--r", "8", "--modulus", "131101",
+            "--fourier",
+        )
+        assert code == 0
+        first, fourier = out.splitlines()
+        m = int(first.split()[0].split("=")[1])
+        assert fourier.startswith("fourier=")
+        assert round(float(fourier.split("=")[1])) == m
 
 
 class TestSumsCommand:
@@ -207,6 +234,17 @@ class TestEncryptDecryptFiles:
             "--priv", str(priv), "--in", str(msg), "--out", str(tmp_path / "x.ct"),
         )
         assert code == 3
+
+    def test_malformed_ciphertext_is_domain_error(self, capsys, tmp_path):
+        pub, priv = write_scheme1_keys(tmp_path)
+        ct = tmp_path / "bad.ct"
+        ct.write_text("BSCT v1 scheme=I blocks=1\n12345\n")
+        code, _, err = invoke(
+            capsys, "decrypt", "--scheme", "I", "--pub", str(pub), "--priv", str(priv),
+            "--in", str(ct), "--out", str(tmp_path / "bad.out"),
+        )
+        assert code == 3
+        assert "error: SchemeMismatch" in err
 
 
 class TestSubprocessDeterminism:

@@ -20,7 +20,7 @@ from bealschur.counting import (
 from bealschur.errors import NotPrime
 from bealschur.triplets import BSContext, is_bs_triplet
 
-from conftest import brute_force_count, sieve_primes
+from conftest import brute_force_count, brute_force_witness, sieve_primes
 
 PRIMES_31 = sieve_primes(31)
 PRIMES_101 = sieve_primes(101)
@@ -170,6 +170,10 @@ class TestTrivialCount:
                 )
                 assert count_trivial(p, q, r, N) == expected, (p, q, r, N)
 
+    def test_exponent_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            count_trivial(0, 2, 2, 7)
+
     def test_never_exceeds_total(self):
         for N in PRIMES_101[:10]:
             for p, q, r in ((2, 2, 2), (2, 4, 2), (3, 3, 3)):
@@ -229,7 +233,7 @@ class TestPowerMatches:
 
 class TestConvolutionPaths:
     def test_fft_path_matches_direct(self):
-        # 4099 is prime and just past the direct-path cutoff
+        # 4099 is prime; the np.roll loop below is the direct oracle
         N = 4099
         fp = power_histogram(2, N).freq
         fq = power_histogram(3, N).freq
@@ -275,6 +279,16 @@ class TestBoundChain:
         x, y, z = map(int, lines[-1].split()[1:])
         ctx = BSContext.create(2, 2, 2, 2053)
         assert is_bs_triplet(x, y, z, ctx)
+
+    @pytest.mark.parametrize(
+        "p, q, r, N", [(2, 2, 2, 2053), (2, 2, 2, 2069), (2, 4, 8, 131101)]
+    )
+    def test_witness_matches_brute_force(self, p, q, r, N):
+        w = verify_bound_chain(BSContext.create(p, q, r, N)).witness
+        assert (w.x.value, w.y.value, w.z.value) == brute_force_witness(p, q, r, N)
+
+    def test_witness_at_2053(self):
+        assert brute_force_witness(2, 2, 2, 2053) == (1, 3, 808)
 
     def test_witness_deterministic(self):
         r1 = verify_bound_chain(BSContext.create(2, 2, 2, 2053))

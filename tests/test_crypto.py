@@ -355,3 +355,17 @@ class TestCiphertextFormat:
     def test_block_count_checked(self):
         with pytest.raises(SchemeMismatch):
             Ciphertext.from_text("BSCT v1 scheme=I blocks=2\n1 2\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "BSCT v1 scheme=I blocks=1\n12345\n",
+            "BSCT v1 scheme=I blocks\n1 2\n",
+            "BSCT v1 scheme=I blocks=one\n1 2\n",
+            "BSCT v1 scheme=III blocks=1\n1 2 3 4\n",
+            "BSCT v1 scheme=I blocks=1\n1 two\n",
+        ],
+    )
+    def test_malformed_text_rejected(self, text):
+        with pytest.raises(SchemeMismatch):
+            Ciphertext.from_text(text)

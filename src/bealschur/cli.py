@@ -2,7 +2,7 @@
 
 Subcommands: keygen, encrypt, decrypt, verify, count, sums, root.
 Exit codes: 0 success, 1 failed verification, 2 usage error,
-3 domain error (named error printed to stderr).
+3 domain error or file failure (named error printed to stderr).
 
 Every randomized subcommand accepts --seed; identical argv plus identical
 seed reproduces stdout and all output files byte for byte.
@@ -14,10 +14,14 @@ import argparse
 import random
 import secrets
 import sys
-from pathlib import Path
 
 from . import counting, crypto, keygen
-from .errors import BealSchurError, PartitionMismatch, SchemeMismatch
+from .errors import (
+    BealSchurError,
+    FileAccessError,
+    PartitionMismatch,
+    SchemeMismatch,
+)
 from .modmath import all_kth_roots, kth_root_mod
 from .triplets import BSContext
 
@@ -38,6 +42,17 @@ def _int_list(text: str) -> list[int]:
     if not text:
         return []
     return [int(part) for part in text.split(",")]
+
+
+def _file(path: str, mode: str, data: str | bytes | None = None):
+    """Read (mode r, rb) or write (w, wb) one file; failures are FileAccessError."""
+    try:
+        with open(path, mode, encoding=None if "b" in mode else "utf-8") as f:
+            return f.read() if data is None else f.write(data)
+    except UnicodeDecodeError:
+        raise FileAccessError(f"{path} is not UTF-8 text") from None
+    except OSError as exc:
+        raise FileAccessError(f"{path}: {exc.strerror}") from None
 
 
 def _rng(seed) -> random.Random:
@@ -108,86 +123,50 @@ def _cmd_keygen(args) -> int:
         key = keygen.keygen_scheme2(
             args.max_exp, args.prime_bits, rng, literal_roles=args.literal_roles
         )
-    Path(args.out_pub).write_text(keygen.serialize_key(key, "PUBLIC"))
-    Path(args.out_priv).write_text(keygen.serialize_key(key, "PRIVATE"))
+    _file(args.out_pub, "w", keygen.serialize_key(key, "PUBLIC"))
+    _file(args.out_priv, "w", keygen.serialize_key(key, "PRIVATE"))
     return EXIT_OK
 
 
-def _load_scheme_keys(args, parser):
-    pub = keygen.parse_key(Path(args.pub).read_text())
+def _scheme_keys(args, parser):
+    """The two key arguments of crypto's scheme functions, from the key files."""
+    pub = keygen.parse_key(_file(args.pub, "r"))
     if pub.scheme != args.scheme:
-        raise SchemeMismatch(
-            f"{args.scheme} requested but key file is {pub.scheme}"
-        )
+        raise SchemeMismatch(f"{args.scheme} requested but key file is {pub.scheme}")
     if args.priv is None:
         parser.error(f"scheme {args.scheme} needs --priv")
-    priv = keygen.parse_key(Path(args.priv).read_text())
-    return pub, priv
-
-
-def _scheme3_contexts(pub, priv):
-    n = pub.fields["n"]
-    if priv.fields["n"] != n:
+    f, g = pub.fields, keygen.parse_key(_file(args.priv, "r")).fields
+    if args.scheme == "I":
+        return (f["r"], f["N"]), (g["p"], g["q"])
+    if args.scheme == "II":
+        return (f["p"], f["q"], f["r"]), g["N"]
+    n = f["n"]
+    if g["n"] != n:
         raise PartitionMismatch("key halves disagree on n")
-    return [
-        (
-            pub.fields[f"p{i}"],
-            pub.fields[f"q{i}"],
-            pub.fields[f"r{i}"],
-            priv.fields[f"N{i}"],
-        )
-        for i in range(1, n + 1)
-    ]
-
-
-def _split_pair(split_one, n):
-    ones = list(split_one or [])
-    twos = [i for i in range(1, n + 1) if i not in ones]
-    return ones, twos
+    indices = range(1, n + 1)
+    contexts = [(f[f"p{i}"], f[f"q{i}"], f[f"r{i}"], g[f"N{i}"]) for i in indices]
+    ones = list(args.split_one or [])
+    return contexts, (ones, [i for i in indices if i not in ones])
 
 
 def _cmd_encrypt(args, parser) -> int:
-    pub, priv = _load_scheme_keys(args, parser)
+    keys = _scheme_keys(args, parser)
     rng = _rng(args.seed)
-    msg = Path(args.infile).read_bytes()
-    if args.scheme == "I":
-        ct = crypto.encrypt_I(
-            msg, (pub.fields["r"], pub.fields["N"]),
-            (priv.fields["p"], priv.fields["q"]), rng,
-        )
-    elif args.scheme == "II":
-        ct = crypto.encrypt_II(
-            msg, (pub.fields["p"], pub.fields["q"], pub.fields["r"]),
-            priv.fields["N"], rng,
-        )
-    else:
+    msg = _file(args.infile, "rb")
+    partition = ()
+    if args.scheme == "III":
         if not args.partition:
             parser.error("scheme III needs --partition")
-        contexts = _scheme3_contexts(pub, priv)
-        split = _split_pair(args.split_one, len(contexts))
-        ct = crypto.encrypt_III(msg, args.partition, contexts, split, rng)
-    Path(args.outfile).write_text(ct.to_text())
+        partition = (args.partition,)
+    ct = getattr(crypto, f"encrypt_{args.scheme}")(msg, *partition, *keys, rng)
+    _file(args.outfile, "w", ct.to_text())
     return EXIT_OK
 
 
 def _cmd_decrypt(args, parser) -> int:
-    pub, priv = _load_scheme_keys(args, parser)
-    ct = crypto.Ciphertext.from_text(Path(args.infile).read_text())
-    if args.scheme == "I":
-        msg = crypto.decrypt_I(
-            ct, (pub.fields["r"], pub.fields["N"]),
-            (priv.fields["p"], priv.fields["q"]),
-        )
-    elif args.scheme == "II":
-        msg = crypto.decrypt_II(
-            ct, (pub.fields["p"], pub.fields["q"], pub.fields["r"]),
-            priv.fields["N"],
-        )
-    else:
-        contexts = _scheme3_contexts(pub, priv)
-        split = _split_pair(args.split_one, len(contexts))
-        msg = crypto.decrypt_III(ct, contexts, split)
-    Path(args.outfile).write_bytes(msg)
+    keys = _scheme_keys(args, parser)
+    ct = crypto.Ciphertext.from_text(_file(args.infile, "r"))
+    _file(args.outfile, "wb", getattr(crypto, f"decrypt_{args.scheme}")(ct, *keys))
     return EXIT_OK
 
 

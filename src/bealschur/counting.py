@@ -1,13 +1,13 @@
 """Counting solutions of x^p + y^q = z^r (mod N) and the bound chain.
 
-The exact count comes from an O(N log N) FFT convolution of power
-histograms (frequency tables of the maps x -> x^ell mod N), rounded to
-integers under a checked rounding margin.  The trivial count (x*y*z = 0)
-is closed form.  A Fourier-side evaluation through the exponential sums
-S_k(ell) = sum_x exp(2 pi i k x^ell / N) is a floating cross-check that
-runs only when SolutionCount.fourier is read (``count --fourier``).
-verify_bound_chain evaluates the full inequality chain that forces a
-nontrivial solution once N exceeds 32 p^2 q^2 r^2, and finds a witness.
+The exact count is a closed form plus one O(N) integer count over a
+discrete-log table: no floats, no FFT.  The trivial count (x*y*z = 0) is
+closed form.  A Fourier-side evaluation through the exponential sums
+S_k(ell) = sum_x exp(2 pi i k x^ell / N), the only FFT here, is a floating
+cross-check that runs only when SolutionCount.fourier is read
+(``count --fourier``).  verify_bound_chain evaluates the full inequality
+chain that forces a nontrivial solution once N exceeds 32 p^2 q^2 r^2,
+and finds a witness.
 
 Desk scale by design: moduli must fit in 31 bits so int64 vector math
 stays exact.
@@ -21,7 +21,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidContext
-from .modmath import all_kth_roots, as_prime_modulus, kth_residue_test
+from .modmath import (
+    all_kth_roots,
+    as_prime_modulus,
+    find_generator,
+    kth_residue_test,
+)
 from .triplets import BSContext, BSTriplet, Residue
 
 _MAX_COUNTING_MODULUS = 1 << 31
@@ -36,17 +41,12 @@ def _counting_modulus(N) -> int:
     return Nv
 
 
-def _powmod_vector(values: np.ndarray, exponent: int, N: int) -> np.ndarray:
-    """Elementwise values**exponent mod N, square-and-multiply in int64."""
-    result = np.ones_like(values)
-    base = values % N
-    e = exponent
-    while e:
-        if e & 1:
-            result = result * base % N
-        base = base * base % N
-        e >>= 1
-    return result
+def _powers(a: int, count: int, N: int) -> np.ndarray:
+    """[a^0, a^1, ..., a^(count-1)] mod N, doubling the list each step."""
+    out = np.ones(1, dtype=np.int64)
+    while out.size < count:
+        out = np.concatenate((out, out * pow(a, out.size, N) % N))
+    return out[:count]
 
 
 @dataclass(frozen=True)
@@ -69,12 +69,18 @@ class PowerHistogram:
 
 
 def power_histogram(ell: int, N) -> PowerHistogram:
-    """Build the frequency table of x -> x^ell mod N in one pass."""
+    """Frequency table of x -> x^ell mod N, in O(N/d) steps.
+
+    With d = gcd(ell, N-1), the nonzero ell-th powers are the (N-1)/d
+    powers of g^d for a generator g, each attained d times; 0 maps to 0.
+    """
     if ell < 1:
         raise ValueError("ell must be positive")
     Nv = _counting_modulus(N)
-    powers = _powmod_vector(np.arange(Nv, dtype=np.int64), ell, Nv)
-    freq = np.bincount(powers, minlength=Nv).astype(np.int64)
+    d = math.gcd(ell, Nv - 1)
+    freq = np.zeros(Nv, dtype=np.int64)
+    freq[_powers(pow(find_generator(Nv), d, Nv), (Nv - 1) // d, Nv)] = d
+    freq[0] = 1
     return PowerHistogram(ell=ell, modulus=Nv, freq=freq)
 
 
@@ -117,10 +123,9 @@ def count_power_matches(p: int, q: int, N) -> int:
 def count_trivial(p: int, q: int, r: int, N) -> int:
     """Exact number of solutions with x*y*z = 0 (mod N), in closed form.
 
-    Each power histogram is f_e = delta_0 + d_e * 1_{H_e}, d_e = gcd(e, N-1),
-    H_e the d_e-th powers.  Inclusion-exclusion over the zero coordinate
-    (two zeros force the third) then gives 1 + (N-1) * (gcd(d_q, d_r) +
-    gcd(d_p, d_r) + [g if -1 is a g-th power]), with g = gcd(d_p, d_q).
+    With d_e = gcd(e, N-1) and g = gcd(d_p, d_q), inclusion-exclusion over
+    the zero coordinate (two zeros force the third) gives 1 + (N-1) *
+    (gcd(d_q, d_r) + gcd(d_p, d_r) + [g if -1 is a g-th power]).
     """
     if min(p, q, r) < 1:
         raise ValueError("exponents must be positive")
@@ -144,17 +149,20 @@ def count_lower_bound(p: int, q: int, r: int, N) -> float:
     return Nv * Nv - (2 * Nv) ** 1.5 * p * q * r
 
 
-def _cyclic_convolution(fp: np.ndarray, fq: np.ndarray, N: int) -> np.ndarray:
-    """Exact cyclic convolution of two integer histograms, by FFT.
+def _discrete_log_table(N: int) -> np.ndarray:
+    """ind[g^k mod N] = k (0 <= k < N-1) for a generator g, as int32.
 
-    Raises ArithmeticError when any entry lies farther than 1e-3 from its
-    rounded integer, so a lost rounding margin never passes silently.
+    Giant steps g^(m i) times baby steps g^j list g^k, k = m i + j; N < 2^31
+    keeps each product below 2^62.  ind[0] is unused.
     """
-    approx = np.fft.irfft(np.fft.rfft(fp) * np.fft.rfft(fq), n=N)
-    conv = np.rint(approx).astype(np.int64)
-    if np.max(np.abs(approx - conv)) > 1e-3:
-        raise ArithmeticError("convolution rounding margin exceeded")
-    return conv
+    n = N - 1
+    g = find_generator(N)
+    m = math.isqrt(n - 1) + 1  # m * m >= n
+    baby = _powers(g, m, N)
+    giant = _powers(pow(g, m, N), -(-n // m), N)
+    ind = np.zeros(N, dtype=np.int32)
+    ind[(giant[:, None] * baby % N).ravel()[:n]] = np.arange(n, dtype=np.int32)
+    return ind
 
 
 @dataclass(frozen=True)
@@ -178,14 +186,34 @@ class SolutionCount:
 def count_solutions_exact(p: int, q: int, r: int, N) -> SolutionCount:
     """Exact #{(x,y,z) : x^p + y^q = z^r (mod N)} plus the trivial split.
 
-    The count is sum over c of (f_p conv f_q)[c] * f_r[c] with one power
-    histogram per distinct exponent and an FFT convolution, O(N log N)
-    time and O(N) space; the trivial count is closed form.
+    Exact O(N) count from one discrete-log table, no floats (the FFT runs
+    only for --fourier).  With n = N-1, d_e = gcd(e, n), D = lcm(d_p, d_q,
+    d_r), each power histogram is delta_0 + d_e 1_{H_e} (d_e-th powers), so
+      M = 1 + d_q d_r n/lcm(d_q,d_r) + d_p d_r n/lcm(d_p,d_r)
+            + d_p d_q (Z + d_r (n/D) T).
+    Z = n/lcm(d_p,d_q) counts a + b = 0 over H_p x H_q when -1 is a
+    gcd(d_p,d_q)-th power, else 0.  T counts the ratios t = b/a in
+    [1, N-2] with gcd(d_p,d_q) | ind t, gcd(d_p,d_r) | ind(1+t) and
+    gcd(d_q,d_r) | ind t - ind(1+t); by the generalized CRT each admits
+    n/D values of a.  All three gcds 1 give T = N-2 with no table.
     """
+    if min(p, q, r) < 1:
+        raise ValueError("exponents must be positive")
     Nv = _counting_modulus(N)
-    freq = {e: power_histogram(e, Nv).freq for e in {p, q, r}}
-    conv = _cyclic_convolution(freq[p], freq[q], Nv)
-    total = int(conv @ freq[r])
+    n = Nv - 1
+    dp, dq, dr = (math.gcd(e, n) for e in (p, q, r))
+    gpq, gpr, gqr = math.gcd(dp, dq), math.gcd(dp, dr), math.gcd(dq, dr)
+    Z = n // math.lcm(dp, dq) if pow(n, n // gpq, Nv) == 1 else 0  # n = -1 (mod N)
+    T = Nv - 2
+    if gpq * gpr * gqr > 1:
+        ind = _discrete_log_table(Nv)
+        t, t1 = ind[1:-1], ind[2:]
+        admissible = (t % gpq == 0) & (t1 % gpr == 0) & ((t - t1) % gqr == 0)
+        T = int(np.count_nonzero(admissible))
+    total = (
+        1 + dq * dr * (n // math.lcm(dq, dr)) + dp * dr * (n // math.lcm(dp, dr))
+        + dp * dq * (Z + dr * (n // math.lcm(dp, dq, dr)) * T)
+    )
     trivial = count_trivial(p, q, r, Nv)
     return SolutionCount(p, q, r, Nv, total, trivial, total - trivial)
 
@@ -193,10 +221,8 @@ def count_solutions_exact(p: int, q: int, r: int, N) -> SolutionCount:
 def count_solutions_fourier(p: int, q: int, r: int, N) -> float:
     """Fourier-side count N^2 + (1/N) sum_{k>=1} S_k(p) S_k(q) conj(S_k(r))."""
     Nv = _counting_modulus(N)
-    sp = exp_sum_table(p, Nv)
-    sq = exp_sum_table(q, Nv)
-    sr = exp_sum_table(r, Nv)
-    tail = np.sum(sp[1:] * sq[1:] * np.conj(sr[1:]))
+    sums = {e: exp_sum_table(e, Nv)[1:] for e in {p, q, r}}  # one FFT per exponent
+    tail = np.sum(sums[p] * sums[q] * np.conj(sums[r]))
     return float(Nv * Nv + tail.real / Nv)
 
 

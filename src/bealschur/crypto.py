@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 from .errors import (
     AmbiguousRoot,
@@ -173,6 +175,8 @@ def _decrypt_blocks(pairs, ctx: BSContext) -> bytes:
     capacity = block_capacity(ctx.modulus)
     blocks = []
     for i, (x, y) in enumerate(pairs):
+        if not (0 <= x < N and 0 <= y < N):  # else x + N would decrypt like x
+            raise SchemeMismatch(f"block {i}: pair lies outside [0, N)")
         c = (pow(x, ctx.p, N) + pow(y, ctx.q, N)) % N
         try:
             roots = all_kth_roots(c, ctx.r, ctx.modulus)
@@ -279,7 +283,7 @@ def decrypt_III(ct: Ciphertext, contexts, split) -> bytes:
     """Invert encrypt_III; the split assigns contexts to the recorded runs.
 
     A wrong split pairs runs with the wrong moduli, which surfaces as
-    NoValidRoot or ChecksumMismatch instead of silent garbage.
+    NoValidRoot, ChecksumMismatch or SchemeMismatch, never silent garbage.
     """
     if ct.scheme != "III":
         raise SchemeMismatch(f"scheme {ct.scheme} ciphertext given to scheme III")
@@ -288,16 +292,9 @@ def decrypt_III(ct: Ciphertext, contexts, split) -> bytes:
     order = _check_split(split, n)
     if ct.ctx_indices is None:
         raise PartitionMismatch("scheme III ciphertext lacks context indices")
-    runs: list[list[tuple[int, int]]] = []
-    previous = None
-    for pair, idx in zip(ct.pairs, ct.ctx_indices):
-        if idx != previous:
-            runs.append([])
-            previous = idx
-        runs[-1].append(pair)
-    # empty segments produce no pairs, so runs <= n
-    if len(runs) > n:
-        raise PartitionMismatch(f"{len(runs)} pair runs for {n} segments")
+    tagged = zip(ct.pairs, ct.ctx_indices)
+    runs = [[pair for pair, _ in run] for _, run in groupby(tagged, itemgetter(1))]
+    # empty segments produce no pairs, so they have no run
     present = set(ct.ctx_indices)
     nonempty = [i for i in order if i in present]
     if len(runs) != len(nonempty):

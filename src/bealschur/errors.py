@@ -87,6 +87,10 @@ class PartitionMismatch(BealSchurError):
     """Partition or split does not cover the message/segments exactly."""
 
 
+class FileAccessError(BealSchurError):
+    """A named file cannot be read, decoded as UTF-8 or written."""
+
+
 # -- key generation ----------------------------------------------------------
 
 class BoundsInfeasible(BealSchurError):

@@ -260,12 +260,8 @@ def _validate_field_set(scheme: str, role: str, fields: dict[str, int]):
                 f"scheme III {role} fields {sorted(fields)} != {sorted(want)}"
             )
         return
-    allowed = []
-    if (scheme, role) in _FIELD_ORDER:
-        allowed.append(set(_FIELD_ORDER[(scheme, role)]))
-    if scheme == "KG2" and role == "PUBLIC":
-        allowed.append(set(_FIELD_ORDER[("KG2L", "PUBLIC")]))
-    if not any(set(fields) == a for a in allowed):
+    tags = (scheme, "KG2L") if scheme == "KG2" else (scheme,)
+    if not any(set(fields) == set(_FIELD_ORDER[(t, role)]) for t in tags):
         raise MalformedKeyFile(
             f"scheme {scheme} {role} fields {sorted(fields)} not recognized"
         )

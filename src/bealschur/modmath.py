@@ -246,8 +246,6 @@ def kth_residue_test(t, k: int, N) -> bool:
     if tv == 0:
         return True
     n = Nm.value - 1
-    if n == 0:
-        return True
     d = math.gcd(k, n)
     return pow(tv, n // d, Nm.value) == 1
 

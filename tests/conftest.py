@@ -1,14 +1,16 @@
 """Shared fixtures and independent oracles used across the suite.
 
 The helpers here deliberately avoid the library's own code paths: sieve
-primality, exhaustive power enumeration and the O(N^3) triple loop serve
-as ground truth for the fast implementations.
+primality, exhaustive power enumeration, the FFT convolution of enumerated
+power histograms and the O(N^3) triple loop serve as ground truth for the
+fast implementations.
 """
 
 import os
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -67,6 +69,23 @@ def brute_force_count(p, q, r, N):
         for c in zr
         if (a + b - c) % N == 0
     )
+
+
+def enumerated_histogram(ell, N):
+    """freq[a] = #{x : x^ell = a (mod N)} by evaluating every x."""
+    return np.bincount([pow(x, ell, N) for x in range(N)], minlength=N)
+
+
+def _cyclic_convolution(fp, fq, N):
+    """Cyclic convolution of two integer histograms by FFT.
+
+    The oracle for the exact count: it fails when an entry lies farther
+    than 1e-3 from its rounded integer, so a lost margin never passes.
+    """
+    approx = np.fft.irfft(np.fft.rfft(fp) * np.fft.rfft(fq), n=N)
+    conv = np.rint(approx).astype(np.int64)
+    assert np.max(np.abs(approx - conv)) <= 1e-3, "rounding margin exceeded"
+    return conv
 
 
 def brute_force_witness(p, q, r, N):

@@ -88,6 +88,34 @@ class TestCountCommand:
         assert round(float(fourier.split("=")[1])) == m
 
 
+    def test_count_and_verify_run_no_histogram_or_fft(self, capsys, monkeypatch):
+        class NoFFT:
+            def __getattr__(self, name):
+                raise AssertionError(f"np.fft.{name} called without --fourier")
+
+        def refuse(*args):
+            raise AssertionError("power histogram built without --fourier")
+
+        monkeypatch.setattr(counting.np, "fft", NoFFT())
+        monkeypatch.setattr(counting, "power_histogram", refuse)
+        for argv in (
+            ("count", "--p", "2", "--q", "3", "--r", "6", "--modulus", "65537"),
+            ("count", "--p", "5", "--q", "7", "--r", "11", "--modulus", "1009"),
+            ("verify", "--p", "2", "--q", "4", "--r", "8", "--modulus", "131101"),
+        ):
+            code, out, err = invoke(capsys, *argv)
+            assert code == 0, err
+            assert out
+
+    def test_exponent_below_one_is_usage_error(self, capsys):
+        code, out, err = invoke(
+            capsys, "count", "--p", "0", "--q", "2", "--r", "2", "--modulus", "7"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.strip() == "error: exponents must be positive"
+
+
 class TestSumsCommand:
     def test_gauss_sum(self, capsys):
         code, out, _ = invoke(
@@ -245,6 +273,81 @@ class TestEncryptDecryptFiles:
         )
         assert code == 3
         assert "error: SchemeMismatch" in err
+
+
+    def test_shifted_pair_is_domain_error(self, capsys, tmp_path):
+        # adding N to x leaves x^p unchanged, so it must be refused, not decrypted
+        pub, priv = write_scheme1_keys(tmp_path)
+        msg = tmp_path / "m.bin"
+        msg.write_bytes(b"malleable?")
+        ct = tmp_path / "m.ct"
+        keys = ["--scheme", "I", "--pub", str(pub), "--priv", str(priv)]
+        invoke(capsys, "encrypt", *keys, "--in", str(msg), "--out", str(ct), "--seed", "1")
+        header, first, *rest = ct.read_text().splitlines()
+        x, y = map(int, first.split())
+        for shifted in (f"{x + PRIME_66_BIT} {y}", f"{x} {y + PRIME_66_BIT}", f"{-x} {y}"):
+            ct.write_text("\n".join([header, shifted, *rest]) + "\n")
+            code, _, err = invoke(
+                capsys, "decrypt", *keys, "--in", str(ct), "--out", str(tmp_path / "o")
+            )
+            assert code == 3
+            assert "error: SchemeMismatch" in err
+
+
+class TestFileErrors:
+    """Unreadable, missing or undecodable files exit 3 with a named error."""
+
+    def decrypt(self, capsys, pub, priv, infile, out):
+        return invoke(
+            capsys, "decrypt", "--scheme", "I", "--pub", str(pub), "--priv", str(priv),
+            "--in", str(infile), "--out", str(out),
+        )
+
+    def assert_file_error(self, result):
+        code, out, err = result
+        assert code == 3
+        assert err.startswith("error: FileAccessError: ")
+        assert "Traceback" not in err
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        pub, priv = write_scheme1_keys(tmp_path)
+        msg = tmp_path / "m.bin"
+        msg.write_bytes(b"hello")
+        return pub, priv, msg, tmp_path / "m.ct", tmp_path / "m.out"
+
+    @pytest.mark.parametrize("role", ["pub", "priv", "in"])
+    @pytest.mark.parametrize("problem", ["missing", "directory", "not-utf8"])
+    def test_decrypt_inputs(self, capsys, tmp_path, files, role, problem):
+        pub, priv, msg, ct, out = files
+        code, _, _ = invoke(
+            capsys, "encrypt", "--scheme", "I", "--pub", str(pub), "--priv", str(priv),
+            "--in", str(msg), "--out", str(ct), "--seed", "3",
+        )
+        assert code == 0
+        bad = tmp_path / "bad"
+        if problem == "directory":
+            bad.mkdir()
+        elif problem == "not-utf8":
+            bad.write_bytes(b"BSKEY v1 \xff\xfe\n")
+        paths = {"pub": pub, "priv": priv, "in": ct, role: bad}
+        self.assert_file_error(
+            self.decrypt(capsys, paths["pub"], paths["priv"], paths["in"], out)
+        )
+
+    def test_missing_plaintext(self, capsys, tmp_path, files):
+        pub, priv, _, ct, _ = files
+        self.assert_file_error(invoke(
+            capsys, "encrypt", "--scheme", "I", "--pub", str(pub), "--priv", str(priv),
+            "--in", str(tmp_path / "nonexistent"), "--out", str(ct),
+        ))
+
+    def test_unwritable_output(self, capsys, tmp_path, files):
+        pub, priv, msg, _, _ = files
+        self.assert_file_error(invoke(
+            capsys, "encrypt", "--scheme", "I", "--pub", str(pub), "--priv", str(priv),
+            "--in", str(msg), "--out", str(tmp_path / "no" / "such" / "dir"),
+        ))
 
 
 class TestSubprocessDeterminism:

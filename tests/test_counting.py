@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from bealschur.counting import (
-    _cyclic_convolution,
     count_lower_bound,
     count_power_matches,
     count_solutions_exact,
@@ -20,7 +19,13 @@ from bealschur.counting import (
 from bealschur.errors import NotPrime
 from bealschur.triplets import BSContext, is_bs_triplet
 
-from conftest import brute_force_count, brute_force_witness, sieve_primes
+from conftest import (
+    _cyclic_convolution,
+    brute_force_count,
+    brute_force_witness,
+    enumerated_histogram,
+    sieve_primes,
+)
 
 PRIMES_31 = sieve_primes(31)
 PRIMES_101 = sieve_primes(101)
@@ -47,6 +52,12 @@ class TestPowerHistogram:
                 assert h.freq[0] == 1
                 # image size of the nonzero part is (N-1)/gcd(ell, N-1)
                 assert h.nonzero_image_size == (N - 1) // math.gcd(ell, N - 1)
+
+    def test_matches_enumeration(self):
+        for N in PRIMES_101 + [4099]:
+            for ell in (1, 2, 3, 4, 5, 6, 12, N - 1, N + 5):
+                got = power_histogram(ell, N).freq
+                assert np.array_equal(got, enumerated_histogram(ell, N)), (ell, N)
 
     def test_requires_prime(self):
         with pytest.raises(NotPrime):
@@ -127,6 +138,11 @@ class TestExactCount:
                 a = count_solutions_exact(p, q, r, N).total
                 b = count_solutions_exact(q, p, r, N).total
                 assert a == b
+
+    def test_exponent_below_one_rejected(self):
+        for bad in ((0, 2, 2), (2, 0, 2), (2, 2, -1)):
+            with pytest.raises(ValueError, match="exponents must be positive"):
+                count_solutions_exact(*bad, 7)
 
     def test_fourier_field_is_close(self):
         for N in (7, 31, 101):
@@ -243,8 +259,24 @@ class TestConvolutionPaths:
             direct += int(fp[a]) * np.roll(fq, a)
         assert np.array_equal(via_fft, direct)
 
+    @pytest.mark.parametrize(
+        "p, q, r, N",
+        [
+            (2, 4, 8, 4099), (3, 3, 3, 4099), (2, 3, 5, 4099), (2, 2, 4098, 4099),
+            (2, 4, 8, 65537), (4, 2, 16, 65537), (3, 5, 7, 65537), (2, 2, 65536, 65537),
+            (2, 4, 8, 131101), (3, 6, 3, 131101), (4, 3, 5, 131101),
+            (5, 10, 131100, 131101),
+        ],
+    )
+    def test_exact_count_matches_fft_oracle(self, p, q, r, N):
+        # (2,3,5), (3,5,7), (4,3,5): pairwise coprime gcd(e, N-1), the T = N-2
+        # branch with no discrete-log table; r = N-1 makes H_r = {1}
+        fp, fq, fr = (enumerated_histogram(e, N) for e in (p, q, r))
+        expected = int(_cyclic_convolution(fp, fq, N) @ fr)
+        assert count_solutions_exact(p, q, r, N).total == expected
+
     def test_large_modulus_count_consistent(self):
-        # FFT path result must still satisfy the Fourier cross-check
+        # the exact count must still satisfy the Fourier cross-check
         counts = count_solutions_exact(2, 4, 8, 131101)
         assert abs(counts.fourier - counts.total) < 0.5
 

@@ -131,6 +131,19 @@ class TestSchemeI:
             ct = encrypt_I(msg, pub, priv, random.Random(trial))
             assert decrypt_I(ct, pub, priv) == msg
 
+    def test_pair_outside_range_rejected(self):
+        # x + N and y + N have the same powers; accepting them would make
+        # every ciphertext malleable
+        pub, priv = KEYS_I
+        N = pub[1]
+        ct = encrypt_I(b"canonical", pub, priv, random.Random(5))
+        (x, y), *rest = ct.pairs
+        for pair in ((x + N, y), (x, y + N), (x - N, y), (x, -1)):
+            shifted = Ciphertext("I", (pair, *rest))
+            with pytest.raises(SchemeMismatch):
+                decrypt_I(shifted, pub, priv)
+        assert decrypt_I(ct, pub, priv) == b"canonical"
+
     def test_empty_message(self):
         pub, priv = KEYS_I
         ct = encrypt_I(b"", pub, priv, random.Random(0))

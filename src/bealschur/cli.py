@@ -130,12 +130,18 @@ def _cmd_keygen(args) -> int:
 
 def _scheme_keys(args, parser):
     """The two key arguments of crypto's scheme functions, from the key files."""
-    pub = keygen.parse_key(_file(args.pub, "r"))
-    if pub.scheme != args.scheme:
-        raise SchemeMismatch(f"{args.scheme} requested but key file is {pub.scheme}")
-    if args.priv is None:
-        parser.error(f"scheme {args.scheme} needs --priv")
-    f, g = pub.fields, keygen.parse_key(_file(args.priv, "r")).fields
+    halves = []
+    for role, path in (("PUBLIC", args.pub), ("PRIVATE", args.priv)):
+        if path is None:
+            parser.error(f"scheme {args.scheme} needs --priv")
+        half = keygen.parse_key(_file(path, "r"))
+        if (half.scheme, half.role) != (args.scheme, role):
+            raise SchemeMismatch(
+                f"scheme {args.scheme} {role} key requested but {path}"
+                f" holds a scheme {half.scheme} {half.role} key"
+            )
+        halves.append(half.fields)
+    f, g = halves
     if args.scheme == "I":
         return (f["r"], f["N"]), (g["p"], g["q"])
     if args.scheme == "II":

@@ -188,11 +188,9 @@ def count_solutions_exact(p: int, q: int, r: int, N) -> SolutionCount:
 
     Exact O(N) count from one discrete-log table, no floats (the FFT runs
     only for --fourier).  With n = N-1, d_e = gcd(e, n), D = lcm(d_p, d_q,
-    d_r), each power histogram is delta_0 + d_e 1_{H_e} (d_e-th powers), so
-      M = 1 + d_q d_r n/lcm(d_q,d_r) + d_p d_r n/lcm(d_p,d_r)
-            + d_p d_q (Z + d_r (n/D) T).
-    Z = n/lcm(d_p,d_q) counts a + b = 0 over H_p x H_q when -1 is a
-    gcd(d_p,d_q)-th power, else 0.  T counts the ratios t = b/a in
+    d_r), each power histogram is delta_0 + d_e 1_{H_e} (d_e-th powers).
+    The solutions with x*y*z = 0 are count_trivial's closed form, and the
+    rest number d_p d_q d_r (n/D) T, where T counts the ratios t = b/a in
     [1, N-2] with gcd(d_p,d_q) | ind t, gcd(d_p,d_r) | ind(1+t) and
     gcd(d_q,d_r) | ind t - ind(1+t); by the generalized CRT each admits
     n/D values of a.  All three gcds 1 give T = N-2 with no table.
@@ -203,19 +201,15 @@ def count_solutions_exact(p: int, q: int, r: int, N) -> SolutionCount:
     n = Nv - 1
     dp, dq, dr = (math.gcd(e, n) for e in (p, q, r))
     gpq, gpr, gqr = math.gcd(dp, dq), math.gcd(dp, dr), math.gcd(dq, dr)
-    Z = n // math.lcm(dp, dq) if pow(n, n // gpq, Nv) == 1 else 0  # n = -1 (mod N)
     T = Nv - 2
     if gpq * gpr * gqr > 1:
         ind = _discrete_log_table(Nv)
         t, t1 = ind[1:-1], ind[2:]
         admissible = (t % gpq == 0) & (t1 % gpr == 0) & ((t - t1) % gqr == 0)
         T = int(np.count_nonzero(admissible))
-    total = (
-        1 + dq * dr * (n // math.lcm(dq, dr)) + dp * dr * (n // math.lcm(dp, dr))
-        + dp * dq * (Z + dr * (n // math.lcm(dp, dq, dr)) * T)
-    )
+    nontrivial = dp * dq * dr * (n // math.lcm(dp, dq, dr)) * T
     trivial = count_trivial(p, q, r, Nv)
-    return SolutionCount(p, q, r, Nv, total, trivial, total - trivial)
+    return SolutionCount(p, q, r, Nv, trivial + nontrivial, trivial, nontrivial)
 
 
 def count_solutions_fourier(p: int, q: int, r: int, N) -> float:

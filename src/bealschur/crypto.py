@@ -188,12 +188,13 @@ def _decrypt_blocks(pairs, ctx: BSContext) -> bytes:
             raise NoValidRoot(f"block {i}: none of {len(candidates)} roots decode")
         if len(valid) > 1:
             raise AmbiguousRoot(f"block {i}: {len(valid)} roots pass the checksum")
-        blocks.append(Residue(valid[0], N))
+        blocks.append(valid[0])
     return decode_message(blocks, ctx.modulus)
 
 
-def _scheme_context(p: int, q: int, r: int, N) -> BSContext:
-    ctx = BSContext.create(p, q, r, N)
+def _context(c) -> BSContext:
+    """A BSContext, or one built from a (p, q, r, N) tuple, above the size floor."""
+    ctx = c if isinstance(c, BSContext) else BSContext.create(*c)
     block_capacity(ctx.modulus)  # enforce the encryption size floor
     return ctx
 
@@ -202,7 +203,7 @@ def encrypt_I(msg: bytes, pub: tuple, priv: tuple, rng: random.Random) -> Cipher
     """Scheme I: public (r, N), private (p, q)."""
     r, N = pub
     p, q = priv
-    ctx = _scheme_context(p, q, r, N)
+    ctx = _context((p, q, r, N))
     return Ciphertext("I", tuple(_encrypt_blocks(msg, ctx, rng)))
 
 
@@ -211,13 +212,13 @@ def decrypt_I(ct: Ciphertext, pub: tuple, priv: tuple) -> bytes:
         raise SchemeMismatch(f"scheme {ct.scheme} ciphertext given to scheme I")
     r, N = pub
     p, q = priv
-    return _decrypt_blocks(ct.pairs, _scheme_context(p, q, r, N))
+    return _decrypt_blocks(ct.pairs, _context((p, q, r, N)))
 
 
 def encrypt_II(msg: bytes, pub: tuple, priv, rng: random.Random) -> Ciphertext:
     """Scheme II: public (p, q, r), private N."""
     p, q, r = pub
-    ctx = _scheme_context(p, q, r, priv)
+    ctx = _context((p, q, r, priv))
     return Ciphertext("II", tuple(_encrypt_blocks(msg, ctx, rng)))
 
 
@@ -225,14 +226,7 @@ def decrypt_II(ct: Ciphertext, pub: tuple, priv) -> bytes:
     if ct.scheme != "II":
         raise SchemeMismatch(f"scheme {ct.scheme} ciphertext given to scheme II")
     p, q, r = pub
-    return _decrypt_blocks(ct.pairs, _scheme_context(p, q, r, priv))
-
-
-def _as_context(c) -> BSContext:
-    if isinstance(c, BSContext):
-        block_capacity(c.modulus)
-        return c
-    return _scheme_context(*c)
+    return _decrypt_blocks(ct.pairs, _context((p, q, r, priv)))
 
 
 def _check_split(split, n: int) -> list[int]:
@@ -263,7 +257,7 @@ def encrypt_III(
     n = len(partition)
     if len(contexts) != n:
         raise PartitionMismatch(f"{n} segments but {len(contexts)} contexts")
-    ctxs = [_as_context(c) for c in contexts]
+    ctxs = [_context(c) for c in contexts]
     order = _check_split(split, n)
     segments = []
     offset = 0
@@ -288,7 +282,7 @@ def decrypt_III(ct: Ciphertext, contexts, split) -> bytes:
     if ct.scheme != "III":
         raise SchemeMismatch(f"scheme {ct.scheme} ciphertext given to scheme III")
     n = len(contexts)
-    ctxs = [_as_context(c) for c in contexts]
+    ctxs = [_context(c) for c in contexts]
     order = _check_split(split, n)
     if ct.ctx_indices is None:
         raise PartitionMismatch("scheme III ciphertext lacks context indices")

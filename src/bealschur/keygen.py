@@ -28,16 +28,12 @@ from .errors import (
     InvariantViolated,
     MalformedKeyFile,
     NonResidue,
+    NotIndiscernible,
+    NotIntraDivisible,
     NotPrime,
 )
 from .modmath import PrimeModulus, all_kth_roots, as_prime_modulus, is_probable_prime
-from .triplets import (
-    BSContext,
-    ExponentTriplet,
-    find_bs_pair,
-    is_bs_triplet,
-    is_intra_divisible,
-)
+from .triplets import BSContext, ExponentTriplet, find_bs_pair, is_bs_triplet
 
 MIN_KEY_MODULUS = 1 << 16
 
@@ -71,18 +67,18 @@ class KeyPair:
     literal_roles: bool = False
 
     def public_fields(self) -> dict[str, int]:
-        ctx = self.context
-        if self.scheme == "KG1":
-            return {"N": ctx.N, "z": self.z}
-        if self.literal_roles:
-            return {"p": ctx.p, "q": ctx.q, "r": ctx.r, "x": self.x, "y": self.y}
-        return {"p": ctx.p, "q": ctx.q, "r": ctx.r, "z": self.z}
+        return self._fields("PUBLIC")
 
     def private_fields(self) -> dict[str, int]:
+        return self._fields("PRIVATE")
+
+    def _fields(self, role: str) -> dict[str, int]:
+        """This half's named integers, in _FIELD_ORDER order."""
         ctx = self.context
-        if self.scheme == "KG1":
-            return {"p": ctx.p, "q": ctx.q, "r": ctx.r, "x": self.x, "y": self.y}
-        return {"N": ctx.N, "x": self.x, "y": self.y}
+        values = {"p": ctx.p, "q": ctx.q, "r": ctx.r, "N": ctx.N,
+                  "x": self.x, "y": self.y, "z": self.z}
+        order = _field_order(self.scheme, role, self.literal_roles)
+        return {name: values[name] for name in order}
 
 
 def sample_intra_divisible_triplet(max_exponent: int, rng: random.Random) -> ExponentTriplet:
@@ -197,12 +193,7 @@ def serialize_key(key: KeyPair, role: str) -> str:
     role = role.upper()
     if role not in ("PUBLIC", "PRIVATE"):
         raise ValueError(f"role must be PUBLIC or PRIVATE, got {role!r}")
-    fields = key.public_fields() if role == "PUBLIC" else key.private_fields()
-    order = _field_order(key.scheme, role, key.literal_roles)
-    lines = [f"BSKEY v1 {role} scheme={key.scheme}"]
-    lines += [f"{name}={fields[name]}" for name in order]
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+    return serialize_fields(key.scheme, role, key._fields(role))
 
 
 def serialize_fields(scheme: str, role: str, fields: dict[str, int]) -> str:
@@ -236,6 +227,8 @@ def parse_key(text: str) -> KeyHalf:
         if "=" not in ln:
             raise MalformedKeyFile(f"bad field line {ln!r}")
         name, value = ln.split("=", 1)
+        if name in fields:
+            raise MalformedKeyFile(f"duplicate field {name!r}")
         try:
             fields[name] = int(value)
         except ValueError:
@@ -249,19 +242,22 @@ def _validate_field_set(scheme: str, role: str, fields: dict[str, int]):
         if "n" not in fields:
             raise MalformedKeyFile("scheme III key file needs n=<count>")
         n = fields["n"]
-        want = {"n"}
-        for i in range(1, n + 1):
-            if role == "PUBLIC":
-                want |= {f"p{i}", f"q{i}", f"r{i}"}
-            else:
-                want |= {f"N{i}"}
+        names = ("p", "q", "r") if role == "PUBLIC" else ("N",)
+        # the count check comes first, so n never sizes more than the file holds
+        if len(fields) != 1 + len(names) * n:
+            raise MalformedKeyFile(
+                f"scheme III {role} with n={n} has {len(fields)} fields"
+            )
+        want = {"n"} | {f"{name}{i}" for i in range(1, n + 1) for name in names}
         if set(fields) != want:
             raise MalformedKeyFile(
                 f"scheme III {role} fields {sorted(fields)} != {sorted(want)}"
             )
         return
-    tags = (scheme, "KG2L") if scheme == "KG2" else (scheme,)
-    if not any(set(fields) == set(_FIELD_ORDER[(t, role)]) for t in tags):
+    if not any(
+        set(fields) == set(_field_order(scheme, role, literal))
+        for literal in (False, True)
+    ):
         raise MalformedKeyFile(
             f"scheme {scheme} {role} fields {sorted(fields)} not recognized"
         )
@@ -294,22 +290,13 @@ def assemble_keypair(pub: KeyHalf, priv: KeyHalf) -> KeyPair:
     x, y = merged["x"], merged["y"]
     z = merged.get("z")
     try:
-        intra = is_intra_divisible(p, q, r)
-    except ExponentTooSmall:
-        intra = False
-    if not intra:
-        raise InvariantViolated("intra-divisible", f"({p}, {q}, {r})")
+        triplet = ExponentTriplet.validated(p, q, r)
+    except (ExponentTooSmall, NotIntraDivisible):
+        raise InvariantViolated("intra-divisible", f"({p}, {q}, {r})") from None
     try:
-        modulus = as_prime_modulus(N)
-    except NotPrime:
-        raise InvariantViolated("indiscernible-prime", f"{N} is not prime")
-    triplet = ExponentTriplet(p, q, r)
-    if modulus.value <= triplet.threshold():
-        raise InvariantViolated(
-            "indiscernible-prime",
-            f"{N} <= threshold {triplet.threshold()}",
-        )
-    ctx = BSContext(triplet, modulus)
+        ctx = BSContext(triplet, as_prime_modulus(N))
+    except (NotPrime, NotIndiscernible) as exc:
+        raise InvariantViolated("indiscernible-prime", str(exc)) from None
     if z is None:
         z = _recover_z(ctx, x, y)
     if not is_bs_triplet(x, y, z, ctx):

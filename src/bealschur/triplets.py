@@ -21,6 +21,7 @@ from .errors import (
     NegativeRadicand,
     NotIndiscernible,
     NotIntraDivisible,
+    NotPrime,
     RetryExhausted,
 )
 from .modmath import (
@@ -90,7 +91,7 @@ def is_indiscernible(N, triplet: ExponentTriplet) -> bool:
     """True iff N is a certified prime strictly above the triplet threshold."""
     try:
         Nm = as_prime_modulus(N)
-    except Exception:
+    except (NotPrime, TypeError, ValueError):
         return False
     return Nm.value > triplet.threshold()
 

@@ -253,15 +253,28 @@ class TestEncryptDecryptFiles:
         assert code == 0
         assert out.read_bytes() == msg.read_bytes()
 
-    def test_wrong_key_file_scheme(self, capsys, tmp_path):
-        pub, priv = write_scheme1_keys(tmp_path)
+    @pytest.mark.parametrize("fault", ["scheme", "role"])
+    @pytest.mark.parametrize("half", ["public", "private"])
+    def test_wrong_key_file_scheme(self, capsys, tmp_path, half, fault):
+        # a scheme I request where one half is a scheme II file or the other role
+        keys = dict(zip(("public", "private"), write_scheme1_keys(tmp_path)))
+        wrong = tmp_path / "wrong.key"
+        if fault == "role":
+            wrong.write_text(keys["private" if half == "public" else "public"].read_text())
+        elif half == "public":
+            wrong.write_text(serialize_fields("II", "PUBLIC", {"p": 2, "q": 2, "r": 2}))
+        else:
+            wrong.write_text(serialize_fields("II", "PRIVATE", {"N": PRIME_66_BIT}))
+        keys[half] = wrong
         msg = tmp_path / "x.bin"
         msg.write_bytes(b"hi")
         code, _, err = invoke(
-            capsys, "encrypt", "--scheme", "II", "--pub", str(pub),
-            "--priv", str(priv), "--in", str(msg), "--out", str(tmp_path / "x.ct"),
+            capsys, "encrypt", "--scheme", "I", "--pub", str(keys["public"]),
+            "--priv", str(keys["private"]), "--in", str(msg),
+            "--out", str(tmp_path / "x.ct"),
         )
         assert code == 3
+        assert "error: SchemeMismatch" in err
 
     def test_malformed_ciphertext_is_domain_error(self, capsys, tmp_path):
         pub, priv = write_scheme1_keys(tmp_path)

@@ -1,7 +1,10 @@
 import random
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bealschur.errors import (
     BoundsInfeasible,
@@ -9,6 +12,7 @@ from bealschur.errors import (
     MalformedKeyFile,
 )
 from bealschur.keygen import (
+    KeyHalf,
     KeyPair,
     assemble_keypair,
     keygen_scheme1,
@@ -23,6 +27,32 @@ from bealschur.triplets import is_bs_triplet, is_indiscernible, is_intra_divisib
 DATA = Path(__file__).parent / "data"
 
 BOUNDS = (4, (18, 24))
+
+_HEADERS = [
+    f"BSKEY v1 {role} scheme={scheme}"
+    for role in ("PUBLIC", "PRIVATE")
+    for scheme in ("KG1", "KG2", "I", "II", "III")
+]
+_NAMES = ["n", "p", "q", "r", "N", "x", "y", "z", "p1", "q1", "r1", "N1"]
+
+# near-miss key files: valid headers and field names with arbitrary values,
+# mixed with arbitrary text in every position
+_key_text = st.one_of(
+    st.text(),
+    st.builds(
+        lambda head, body, tail: "\n".join([head, *body, tail]),
+        st.sampled_from(_HEADERS) | st.text(max_size=30),
+        st.lists(
+            st.builds(
+                "{}={}".format,
+                st.sampled_from(_NAMES) | st.text(max_size=4),
+                st.integers(-3, 10**7).map(str) | st.text(max_size=8),
+            ),
+            max_size=8,
+        ),
+        st.just("end") | st.text(max_size=5),
+    ),
+)
 
 
 def check_key_invariants(key: KeyPair):
@@ -154,6 +184,48 @@ class TestSerialization:
         with pytest.raises(MalformedKeyFile):
             # wrong field set for the scheme/role
             parse_key("BSKEY v1 PUBLIC scheme=KG1\np=2\nq=2\nend\n")
+        with pytest.raises(MalformedKeyFile, match="duplicate"):
+            parse_key("BSKEY v1 PUBLIC scheme=KG1\nN=11\nz=3\nz=4\nend\n")
+
+    def test_scheme3_count_checked_before_names(self):
+        for n in (10**7, -1):
+            start = time.perf_counter()
+            with pytest.raises(MalformedKeyFile):
+                parse_key(f"BSKEY v1 PUBLIC scheme=III\nn={n}\nend\n")
+            assert time.perf_counter() - start < 0.1
+
+    @given(text=_key_text)
+    @settings(max_examples=300, deadline=None)
+    def test_parse_raises_only_malformed_key_file(self, text):
+        try:
+            parse_key(text)
+        except MalformedKeyFile:
+            pass
+
+    @given(seed=st.integers(0, 2**32), variant=st.sampled_from(["KG1", "KG2", "KG2L"]))
+    @settings(max_examples=30, deadline=None)
+    def test_serialize_parse_assemble_roundtrip(self, seed, variant):
+        rng = random.Random(seed)
+        if variant == "KG1":
+            key = keygen_scheme1(*BOUNDS, rng)
+        else:
+            key = keygen_scheme2(*BOUNDS, rng, literal_roles=variant == "KG2L")
+        texts = [serialize_key(key, role) for role in ("PUBLIC", "PRIVATE")]
+        rebuilt = assemble_keypair(*map(parse_key, texts))
+        if variant == "KG2L":
+            # z is not in the files; the rebuilt key serializes identically
+            assert [serialize_key(rebuilt, role) for role in ("PUBLIC", "PRIVATE")] == texts
+            check_key_invariants(rebuilt)
+        else:
+            assert rebuilt == key
+
+    @pytest.mark.parametrize("p,q,r", [(2, 3, 5), (1, 2, 2)])
+    def test_intra_divisible_checked_before_prime(self, p, q, r):
+        pub = KeyHalf("KG1", "PUBLIC", {"N": 3 * 5 * 7 * 11 * 13 * 17, "z": 5})
+        priv = KeyHalf("KG1", "PRIVATE", {"p": p, "q": q, "r": r, "x": 2, "y": 3})
+        with pytest.raises(InvariantViolated) as err:
+            assemble_keypair(pub, priv)
+        assert err.value.check == "intra-divisible"
 
     def test_tampered_modulus(self):
         key = keygen_scheme1(*BOUNDS, random.Random(11))

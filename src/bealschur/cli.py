@@ -11,6 +11,7 @@ seed reproduces stdout and all output files byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import secrets
 import sys
@@ -59,7 +60,9 @@ def _rng(seed) -> random.Random:
     return random.Random(seed if seed is not None else secrets.randbits(64))
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused by every run."""
     parser = argparse.ArgumentParser(
         prog="bealschur",
         description="Beal-Schur congruence toolkit: counting, verification "
@@ -205,14 +208,11 @@ def _cmd_sums(args) -> int:
 
 
 def _cmd_root(args) -> int:
-    rng = _rng(args.seed)
     if args.all:
-        roots = sorted(
-            r.value for r in all_kth_roots(args.c, args.k, args.modulus, rng)
-        )
+        roots = sorted(r.value for r in all_kth_roots(args.c, args.k, args.modulus))
         print("roots=" + " ".join(str(r) for r in roots))
     else:
-        root = kth_root_mod(args.c, args.k, args.modulus, rng)
+        root = kth_root_mod(args.c, args.k, args.modulus, _rng(args.seed))
         print(f"root={root.value}")
     return EXIT_OK
 

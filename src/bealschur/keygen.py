@@ -267,7 +267,8 @@ def assemble_keypair(pub: KeyHalf, priv: KeyHalf) -> KeyPair:
     """Join two parsed halves into a validated KeyPair.
 
     Semantic failures raise InvariantViolated with the failing check named:
-    scheme-match, intra-divisible, indiscernible-prime, bs-congruence,
+    scheme-match, intra-divisible, indiscernible-prime, canonical (x, y
+    and z lie in [0, N), so a key has one spelling), bs-congruence,
     nontrivial.
     """
     if pub.role != "PUBLIC" or priv.role != "PRIVATE":
@@ -297,11 +298,14 @@ def assemble_keypair(pub: KeyHalf, priv: KeyHalf) -> KeyPair:
         ctx = BSContext(triplet, as_prime_modulus(N))
     except (NotPrime, NotIndiscernible) as exc:
         raise InvariantViolated("indiscernible-prime", str(exc)) from None
+    for name, value in (("x", x), ("y", y), ("z", z)):
+        if value is not None and not 0 <= value < N:  # else x + N would load like x
+            raise InvariantViolated("canonical", f"{name}={value} outside [0, N)")
     if z is None:
         z = _recover_z(ctx, x, y)
     if not is_bs_triplet(x, y, z, ctx):
         raise InvariantViolated("bs-congruence", f"x={x} y={y} z={z}")
-    if x % N == 0 or y % N == 0 or z % N == 0:
+    if 0 in (x, y, z):
         raise InvariantViolated("nontrivial", "N divides x*y*z")
     return KeyPair(
         scheme=scheme,

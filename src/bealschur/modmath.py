@@ -1,9 +1,14 @@
 """Exact modular arithmetic over a prime modulus.
 
 Exponentiation, primality certification, k-th power residue testing and
-k-th root extraction.  Root extraction uses the inverse-exponent fast path
-when gcd(k, N-1) = 1 and otherwise an Adleman-Manders-Miller style
-procedure working prime-power by prime-power through gcd(k, N-1).
+k-th root extraction.  ``kth_root_mod`` finds one root: by exponent
+inversion when gcd(k, N-1) = 1, otherwise by an Adleman-Manders-Miller
+style procedure working prime-power by prime-power through d = gcd(k, N-1).
+``all_kth_roots`` finds all d roots from a plan cached per (k, N): an
+element of order d and, when gcd(k, (N-1)/d) = 1, the exponent
+e = k^-1 mod (N-1)/d, so that one root of a residue c is c^e (a single
+exponentiation; this covers d = 1 and d = 2 with N = 3 mod 4).  Only the
+remaining (k, N) fall back to ``kth_root_mod``.
 
 All functions are pure; randomness enters only through an explicit
 ``random.Random`` argument, so seeded callers are fully reproducible.
@@ -11,6 +16,7 @@ All functions are pure; randomness enters only through an explicit
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -380,36 +386,50 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def _element_of_order(d: int, N: int, rng: random.Random) -> int:
-    """An element of multiplicative order exactly d mod N (d | N-1)."""
+@functools.lru_cache(maxsize=256)
+def _root_plan(k: int, N: int) -> tuple[int, int, int | None]:
+    """(d, omega, e) for k-th roots mod the prime N, computed once per (k, N).
+
+    d = gcd(k, N-1) is the number of roots of a nonzero residue and omega an
+    element of order exactly d, found by a deterministic scan.  When
+    gcd(k, (N-1)/d) = 1, e = k^-1 mod (N-1)/d maps every k-th residue c to
+    the root c^e; otherwise e is None.  N must already be certified prime.
+    """
     n = N - 1
-    prime_factors = list(factorize(d, rng))
-    for _ in range(4096):
-        u = rng.randrange(2, N)
-        if all(pow(u, n // pi, N) != 1 for pi in prime_factors):
-            return pow(u, n // d, N)
-    raise NonResidue(f"could not build an element of order {d} mod {N}")
+    d = math.gcd(k, n)
+    m = n // d
+    e = pow(k, -1, m) if math.gcd(k, m) == 1 else None
+    if d <= 2:  # 1 has order 1, and N-1 = -1 has order 2
+        return d, 1 if d == 1 else N - 1, e
+    prime_factors = list(factorize(d))
+    u = 2
+    while any(pow(u, n // pi, N) == 1 for pi in prime_factors):
+        u += 1
+    return d, pow(u, m, N), e
 
 
-def all_kth_roots(c, k: int, N, rng: random.Random | None = None) -> set[Residue]:
+def all_kth_roots(c, k: int, N) -> set[Residue]:
     """The full set of k-th roots of c mod N: gcd(k, N-1) of them, or {0}.
 
-    One root comes from kth_root_mod; the rest are its multiples by the
-    powers of an element of order d = gcd(k, N-1).
+    One root y comes from the cached plan's exponent, y = c^e, when
+    gcd(k, (N-1)/d) = 1, and from kth_root_mod otherwise; the rest are
+    y times the powers of the plan's element of order d = gcd(k, N-1).
     """
     Nm = as_prime_modulus(N)
     Nv = Nm.value
     cv = int(c) % Nv
     if cv == 0:
         return {Residue(0, Nv)}
-    rng = rng or random.Random(_FALLBACK_SEED)
-    y0 = kth_root_mod(cv, k, Nm, rng).value
-    d = math.gcd(k, Nv - 1)
-    if d == 1:
-        return {Residue(y0, Nv)}
-    omega = _element_of_order(d, Nv, rng)
+    if k < 1:
+        raise ValueError("k must be positive")
+    d, omega, e = _root_plan(k, Nv)
+    if e is None:
+        y = kth_root_mod(cv, k, Nm).value
+    else:
+        y = pow(cv, e, Nv)
+        if pow(y, k, Nv) != cv:
+            raise NonResidue(f"{cv} is not a {k}th residue mod {Nv}")
     roots = set()
-    y = y0
     for _ in range(d):
         roots.add(Residue(y, Nv))
         y = y * omega % Nv

@@ -179,6 +179,29 @@ class TestKeygenCommand:
         assert parse_key(pub.read_text()).scheme == "KG1"
         assert parse_key(priv.read_text()).role == "PRIVATE"
 
+    def test_parser_reuse_leaks_no_option(self, capsys, tmp_path):
+        # the parser is built once per process; a flag of one run must not
+        # carry over into the next run's namespace
+        def argv(tag, *extra):
+            return ["keygen", "--scheme", "kg2", "--max-exp", "4", "--prime-bits",
+                    "18..24", "--seed", "23", "--out-pub", str(tmp_path / f"{tag}.pub"),
+                    "--out-priv", str(tmp_path / f"{tag}.priv"), *extra]
+
+        assert invoke(capsys, *argv("literal", "--literal-6-2"))[0] == 0
+        assert "x=" in (tmp_path / "literal.pub").read_text()
+        assert invoke(capsys, *argv("plain"))[0] == 0
+        fresh = subprocess.run(
+            [sys.executable, "-m", "bealschur.cli", *argv("fresh")],
+            capture_output=True, cwd=tmp_path,
+        )
+        assert fresh.returncode == 0
+        plain = (tmp_path / "plain.pub").read_text()
+        assert "z=" in plain and "x=" not in plain
+        for suffix in ("pub", "priv"):
+            assert (tmp_path / f"plain.{suffix}").read_bytes() == (
+                tmp_path / f"fresh.{suffix}"
+            ).read_bytes()
+
     def test_infeasible_bounds_domain_error(self, capsys, tmp_path):
         code, out, err = invoke(
             capsys, "keygen", "--scheme", "kg1", "--max-exp", "2",

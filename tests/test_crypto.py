@@ -43,6 +43,23 @@ CONTEXTS_III = [
     (2, 4, 8, PRIME_74_BIT),
 ]
 
+# near-miss ciphertexts: BSCT v1 headers and integer pair lines with
+# arbitrary values, mixed with arbitrary text in every position
+_token = st.integers(-(10**30), 10**30).map(str) | st.text(max_size=6)
+_ciphertext_text = st.one_of(
+    st.text(),
+    st.builds(
+        lambda head, rows: "\n".join([head, *rows]),
+        st.builds(
+            "BSCT v1 {} {}".format,
+            st.sampled_from(["scheme=I", "scheme=II", "scheme=III", "scheme", ""])
+            | st.text(max_size=12),
+            st.integers(-2, 6).map("blocks={}".format) | st.text(max_size=12),
+        ),
+        st.lists(st.lists(_token, max_size=4).map(" ".join), max_size=6),
+    ),
+)
+
 
 def random_message(rng, size):
     return bytes(rng.randrange(256) for _ in range(size))
@@ -382,3 +399,12 @@ class TestCiphertextFormat:
     def test_malformed_text_rejected(self, text):
         with pytest.raises(SchemeMismatch):
             Ciphertext.from_text(text)
+
+    @given(text=_ciphertext_text)
+    @settings(max_examples=300, deadline=None)
+    def test_parse_raises_only_scheme_mismatch(self, text):
+        try:
+            ct = Ciphertext.from_text(text)
+        except SchemeMismatch:
+            return
+        assert Ciphertext.from_text(ct.to_text()) == ct

@@ -246,6 +246,23 @@ class TestSerialization:
             assemble_keypair(pub, parse_key(tampered))
         assert err.value.check == "bs-congruence"
 
+    @pytest.mark.parametrize(
+        "maker,role,field,spelling",
+        [
+            # x + N and z - N solve the congruence exactly like x and z
+            (keygen_scheme1, "PRIVATE", "x", lambda v, N: v + N),
+            (keygen_scheme1, "PUBLIC", "z", lambda v, N: v - N),
+            (keygen_scheme2, "PRIVATE", "y", lambda v, N: -v),
+        ],
+    )
+    def test_non_canonical_field_rejected(self, maker, role, field, spelling):
+        key = maker(*BOUNDS, random.Random(19))
+        halves = {half: parse_key(serialize_key(key, half)) for half in ("PUBLIC", "PRIVATE")}
+        halves[role].fields[field] = spelling(getattr(key, field), key.context.N)
+        with pytest.raises(InvariantViolated) as err:
+            assemble_keypair(halves["PUBLIC"], halves["PRIVATE"])
+        assert err.value.check == "canonical"
+
     def test_role_mismatch(self):
         key = keygen_scheme1(*BOUNDS, random.Random(17))
         pub = parse_key(serialize_key(key, "PUBLIC"))
@@ -268,3 +285,8 @@ class TestGolden:
         for role, suffix in (("PUBLIC", "pub"), ("PRIVATE", "priv")):
             golden = (DATA / f"{name}.{suffix}").read_text()
             assert serialize_key(key, role) == golden
+
+    @pytest.mark.parametrize("name", ["kg1_seed4242", "kg2_seed4242"])
+    def test_golden_files_assemble(self, name):
+        halves = [parse_key((DATA / f"{name}.{suffix}").read_text()) for suffix in ("pub", "priv")]
+        check_key_invariants(assemble_keypair(*halves))

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bealschur import modmath
+from bealschur.crypto import decrypt_I, decrypt_II, encrypt_I, encrypt_II
 from bealschur.errors import ModulusTooSmall, NonResidue, NotPrime
 from bealschur.modmath import (
     PrimeModulus,
     Residue,
+    _root_plan,
     all_kth_roots,
     as_prime_modulus,
     factorize,
@@ -19,7 +22,14 @@ from bealschur.modmath import (
     mod_pow,
 )
 
-from conftest import kth_powers, sieve_primes, trial_division_prime
+from conftest import (
+    PRIME_57_BIT,
+    PRIME_66_BIT,
+    PRIME_74_BIT,
+    kth_powers,
+    sieve_primes,
+    trial_division_prime,
+)
 
 SMALL_PRIMES = sieve_primes(101)
 ROOT_EXPONENTS = (2, 3, 4, 6)
@@ -182,10 +192,33 @@ class TestKthRoot:
     def test_root_set_matches_enumeration(self):
         for N in SMALL_PRIMES:
             for k in ROOT_EXPONENTS:
-                for c in sorted(kth_powers(k, N)):
+                for c in range(N):
                     expected = {y for y in range(N) if pow(y, k, N) == c}
+                    if not expected:
+                        with pytest.raises(NonResidue):
+                            all_kth_roots(c, k, N)
+                        continue
                     got = {r.value for r in all_kth_roots(c, k, N)}
                     assert got == expected
+
+    @pytest.mark.parametrize(
+        "N,k,exponent_path",
+        [
+            (PRIME_66_BIT, 2, True),   # d = 2, N = 3 mod 4
+            (PRIME_74_BIT, 8, True),   # d = 2, gcd(8, (N-1)/2) = 1
+            (PRIME_57_BIT, 3, True),   # d = 1
+            (1000033, 8, False),       # d = 8, gcd(8, (N-1)/8) = 4
+        ],
+    )
+    def test_large_modulus_root_set(self, rng, N, k, exponent_path):
+        d, _, e = _root_plan(k, N)
+        assert d == math.gcd(k, N - 1)
+        assert (e is not None) == exponent_path
+        for _ in range(5):
+            c = pow(rng.randrange(2, N), k, N)
+            roots = all_kth_roots(c, k, N)
+            assert len(roots) == d
+            assert all(pow(y.value, k, N) == c for y in roots)
 
     def test_root_count_is_gcd(self):
         for N in SMALL_PRIMES:
@@ -217,6 +250,23 @@ class TestKthRoot:
             c = pow(a, k, N)
             root = kth_root_mod(c, k, N, rng).value
             assert pow(root, k, N) == c
+
+    def test_decrypt_needs_no_search(self, monkeypatch):
+        # schemes I and II decrypt by one exponentiation per block: no
+        # non-residue search and no factorization, even for a fresh plan
+        rng = random.Random(3)
+        msg = bytes(rng.randrange(256) for _ in range(200))
+        ct_one = encrypt_I(msg, (2, PRIME_66_BIT), (2, 2), rng)
+        ct_two = encrypt_II(msg, (2, 4, 8), PRIME_74_BIT, rng)
+
+        def refuse(*args):
+            raise AssertionError("root search ran during decryption")
+
+        _root_plan.cache_clear()
+        monkeypatch.setattr(modmath, "_find_non_residue", refuse)
+        monkeypatch.setattr(modmath, "factorize", refuse)
+        assert decrypt_I(ct_one, (2, PRIME_66_BIT), (2, 2)) == msg
+        assert decrypt_II(ct_two, (2, 4, 8), PRIME_74_BIT) == msg
 
     def test_seeded_rng_reproducible(self):
         N, k, c = 73, 8, pow(5, 8, 73)

@@ -1,14 +1,16 @@
 """Exact modular arithmetic over a prime modulus.
 
 Exponentiation, primality certification, k-th power residue testing and
-k-th root extraction.  ``kth_root_mod`` finds one root: by exponent
-inversion when gcd(k, N-1) = 1, otherwise by an Adleman-Manders-Miller
-style procedure working prime-power by prime-power through d = gcd(k, N-1).
-``all_kth_roots`` finds all d roots from a plan cached per (k, N): an
-element of order d and, when gcd(k, (N-1)/d) = 1, the exponent
-e = k^-1 mod (N-1)/d, so that one root of a residue c is c^e (a single
-exponentiation; this covers d = 1 and d = 2 with N = 3 mod 4).  Only the
-remaining (k, N) fall back to ``kth_root_mod``.
+k-th root extraction.  One private helper finds a single k-th root for both
+``kth_root_mod`` and ``all_kth_roots``.  With d = gcd(k, N-1), when
+gcd(k, (N-1)/d) = 1 the root is c^e with e = k^-1 mod (N-1)/d, a single
+exponentiation (this covers d = 1 and d = 2 with N = 3 mod 4).  That is the
+root an Adleman-Manders-Miller extraction returns there, so given a
+caller's ``random.Random`` the helper replays the non-residue draws AMM
+would make and leaves the generator in the same state.  Any other (k, N)
+runs AMM prime power by prime power through d.  ``all_kth_roots`` turns the
+one root into all d from an element of order d cached per (k, N).  The
+quadratic character (d = 2) is the Jacobi symbol, by quadratic reciprocity.
 
 All functions are pure; randomness enters only through an explicit
 ``random.Random`` argument, so seeded callers are fully reproducible.
@@ -29,9 +31,11 @@ TRIAL_DIVISION_LIMIT = 10**8
 
 DEFAULT_MR_ROUNDS = 40
 
-# Bases 2..41 decide primality deterministically for n < 3.3e24
-# (Sorenson & Webster); random extra bases are appended past rounds=13.
+# Bases 2..41 decide primality deterministically for n < psi_13
+# (Sorenson & Webster, Math. Comp. 86, 2017); only from psi_13 on are
+# random extra bases appended past rounds=13.
 _MR_FIXED_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
 
 _FALLBACK_SEED = 0x9E3779B97F4A7C15
 
@@ -133,8 +137,9 @@ def _mr_witness(a: int, d: int, s: int, n: int) -> bool:
 def is_probable_prime(n: int, rounds: int = DEFAULT_MR_ROUNDS) -> bool:
     """Primality test: trial division below TRIAL_DIVISION_LIMIT, else Miller-Rabin.
 
-    The first min(rounds, 13) Miller-Rabin bases are fixed small primes
-    (deterministic below 3.3e24); remaining rounds use random bases.
+    The first min(rounds, 13) Miller-Rabin bases are fixed small primes.
+    All 13 decide primality below psi_13 ~ 3.3e24, so remaining rounds draw
+    random bases only for n >= psi_13.
     """
     if n < 2:
         return False
@@ -150,7 +155,7 @@ def is_probable_prime(n: int, rounds: int = DEFAULT_MR_ROUNDS) -> bool:
     for a in _MR_FIXED_BASES[:rounds]:
         if _mr_witness(a, d, s, n):
             return False
-    if rounds > len(_MR_FIXED_BASES):
+    if rounds > len(_MR_FIXED_BASES) and n >= _PSI_13:
         rng = random.Random(n ^ _FALLBACK_SEED)
         for _ in range(rounds - len(_MR_FIXED_BASES)):
             if _mr_witness(rng.randrange(2, n - 1), d, s, n):
@@ -239,11 +244,31 @@ def find_generator(N, rng: random.Random | None = None) -> int:
 
 # -- k-th residues and roots --------------------------------------------------
 
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0, by quadratic reciprocity.
+
+    For a prime n it is the Legendre symbol: 1 for a nonzero square mod n,
+    -1 for a non-square and 0 for a = 0 (mod n).
+    """
+    a %= n
+    sign = 1
+    while a:
+        twos = (a & -a).bit_length() - 1
+        a >>= twos
+        if twos & 1 and n & 7 in (3, 5):
+            sign = -sign
+        if a & n & 2:  # both are 3 mod 4
+            sign = -sign
+        a, n = n % a, a
+    return sign if n == 1 else 0
+
+
 def kth_residue_test(t, k: int, N) -> bool:
     """True iff some y in Z_N satisfies y**k = t (mod N).
 
     Euler-style criterion: t == 0 is always a residue; otherwise test
-    t^((N-1)/d) == 1 with d = gcd(k, N-1).
+    t^((N-1)/d) == 1 with d = gcd(k, N-1).  For d = 2 that is the Jacobi
+    symbol (t/N) == 1, computed by reciprocity instead of a power.
     """
     Nm = as_prime_modulus(N)
     if k < 1:
@@ -253,16 +278,18 @@ def kth_residue_test(t, k: int, N) -> bool:
         return True
     n = Nm.value - 1
     d = math.gcd(k, n)
+    if d == 2:
+        return _jacobi(tv, Nm.value) == 1
     return pow(tv, n // d, Nm.value) == 1
 
 
 def _find_non_residue(pi: int, N: int, rng: random.Random) -> int:
     """Random element that is not a pi-th power mod N (pi prime, pi | N-1)."""
-    n = N - 1
-    e = n // pi
+    e = (N - 1) // pi
     for _ in range(4096):
         rho = rng.randrange(2, N)
-        if pow(rho, e, N) != 1:
+        residue = _jacobi(rho, N) == 1 if pi == 2 else pow(rho, e, N) == 1
+        if not residue:
             return rho
     raise NonResidue(f"could not find a non-{pi}th-residue mod {N}")
 
@@ -325,44 +352,60 @@ def _prime_power_root(c: int, pi: int, a: int, N: int, rng: random.Random) -> in
     return t
 
 
-def kth_root_mod(c, k: int, N, rng: random.Random | None = None) -> Residue:
-    """Some y with y**k = c (mod N); raises NonResidue if none exists.
+def _one_root(c: int, k: int, N: int, rng: random.Random | None) -> int:
+    """One k-th root of c mod N (N certified prime, 0 < c < N), else NonResidue.
 
-    gcd(k, N-1) = 1 is handled by exponent inversion; otherwise the
-    exponent is reduced to d = gcd(k, N-1) and d is solved prime power by
-    prime power, recombining with Bezout coefficients.
+    With d = gcd(k, N-1) and gcd(k, (N-1)/d) = 1, every prime pi | d has
+    v_pi(N-1) = v_pi(d), so AMM's correction digits are all 0 and it
+    returns exactly c^e, e = k^-1 mod (N-1)/d; its draws only advance the
+    rng, so they are replayed: factorize(d), then 1 + a non-residue draws
+    for each pi^a || d.  Otherwise AMM runs on y^d = c^alpha, prime power by
+    prime power, with a fixed-seed rng if none is given.
+    """
+    n = N - 1
+    d = math.gcd(k, n)
+    m = n // d
+    if math.gcd(k, m) == 1:
+        y = pow(c, pow(k, -1, m), N)
+        if pow(y, k, N) != c:
+            raise NonResidue(f"{c} is not a {k}th residue mod {N}")
+        if rng is not None:
+            for pi, a in factorize(d, rng).items():
+                for _ in range(1 + a):
+                    _find_non_residue(pi, N, rng)
+        return y
+    if pow(c, m, N) != 1:
+        raise NonResidue(f"{c} is not a {k}th residue mod {N}")
+    rng = rng or random.Random(_FALLBACK_SEED)
+    # same solution set as y^k = c, since c is a residue
+    target = pow(c, pow(k // d, -1, m), N)
+    parts = [
+        (_prime_power_root(target, pi, a, N, rng), pi**a)
+        for pi, a in factorize(d, rng).items()
+    ]
+    coeffs = _bezout_combination([d // size for _, size in parts])
+    y = 1
+    for (root, _), u in zip(parts, coeffs):
+        y = y * pow(root, u, N) % N
+    return y
+
+
+def kth_root_mod(c, k: int, N, rng: random.Random | None = None) -> Residue:
+    """Some y with y**k = c (mod N); NonResidue, before any draw, if none.
+
+    With d = gcd(k, N-1): when gcd(k, (N-1)/d) = 1 (always when d = 1),
+    y = c^(k^-1 mod (N-1)/d) and the draws an Adleman-Manders-Miller
+    extraction would make are replayed on rng, so seeded callers consume it
+    exactly as AMM does.  Otherwise AMM solves y^d prime power by prime
+    power, recombining with Bezout coefficients.
     """
     Nm = as_prime_modulus(N)
-    Nv = Nm.value
     if k < 1:
         raise ValueError("k must be positive")
-    cv = int(c) % Nv
+    cv = int(c) % Nm.value
     if cv == 0:
-        return Residue(0, Nv)
-    n = Nv - 1
-    d = math.gcd(k, n)
-    if d == 1:
-        inv = pow(k, -1, n) if n > 1 else 0
-        return Residue(pow(cv, inv, Nv), Nv)
-    if pow(cv, n // d, Nv) != 1:
-        raise NonResidue(f"{cv} is not a {k}th residue mod {Nv}")
-    rng = rng or random.Random(_FALLBACK_SEED)
-    # reduce y^k = c to y^d = c^alpha (same solution set since c is a residue)
-    nd = n // d
-    alpha = pow(k // d, -1, nd) if nd > 1 else 1
-    target = pow(cv, alpha, Nv)
-    parts = []
-    for pi, a in factorize(d, rng).items():
-        parts.append((_prime_power_root(target, pi, a, Nv, rng), pi**a))
-    if len(parts) == 1:
-        y = parts[0][0]
-    else:
-        cofactors = [d // m for _, m in parts]
-        coeffs = _bezout_combination(cofactors)
-        y = 1
-        for (root, _), u in zip(parts, coeffs):
-            y = y * pow(root, u, Nv) % Nv
-    return Residue(y, Nv)
+        return Residue(0, Nm.value)
+    return Residue(_one_root(cv, k, Nm.value, rng), Nm.value)
 
 
 def _bezout_combination(values: list[int]) -> list[int]:
@@ -387,33 +430,30 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 @functools.lru_cache(maxsize=256)
-def _root_plan(k: int, N: int) -> tuple[int, int, int | None]:
-    """(d, omega, e) for k-th roots mod the prime N, computed once per (k, N).
+def _root_plan(k: int, N: int) -> tuple[int, int]:
+    """(d, omega) for k-th roots mod the prime N, computed once per (k, N).
 
     d = gcd(k, N-1) is the number of roots of a nonzero residue and omega an
-    element of order exactly d, found by a deterministic scan.  When
-    gcd(k, (N-1)/d) = 1, e = k^-1 mod (N-1)/d maps every k-th residue c to
-    the root c^e; otherwise e is None.  N must already be certified prime.
+    element of order exactly d, found by a deterministic scan.  N must
+    already be certified prime.
     """
     n = N - 1
     d = math.gcd(k, n)
-    m = n // d
-    e = pow(k, -1, m) if math.gcd(k, m) == 1 else None
     if d <= 2:  # 1 has order 1, and N-1 = -1 has order 2
-        return d, 1 if d == 1 else N - 1, e
+        return d, 1 if d == 1 else N - 1
     prime_factors = list(factorize(d))
     u = 2
     while any(pow(u, n // pi, N) == 1 for pi in prime_factors):
         u += 1
-    return d, pow(u, m, N), e
+    return d, pow(u, n // d, N)
 
 
 def all_kth_roots(c, k: int, N) -> set[Residue]:
     """The full set of k-th roots of c mod N: gcd(k, N-1) of them, or {0}.
 
-    One root y comes from the cached plan's exponent, y = c^e, when
-    gcd(k, (N-1)/d) = 1, and from kth_root_mod otherwise; the rest are
-    y times the powers of the plan's element of order d = gcd(k, N-1).
+    One root y comes from the single-root helper with no rng (one
+    exponentiation when gcd(k, (N-1)/d) = 1, no draws); the rest are y
+    times the powers of the cached element of order d = gcd(k, N-1).
     """
     Nm = as_prime_modulus(N)
     Nv = Nm.value
@@ -422,13 +462,8 @@ def all_kth_roots(c, k: int, N) -> set[Residue]:
         return {Residue(0, Nv)}
     if k < 1:
         raise ValueError("k must be positive")
-    d, omega, e = _root_plan(k, Nv)
-    if e is None:
-        y = kth_root_mod(cv, k, Nm).value
-    else:
-        y = pow(cv, e, Nv)
-        if pow(y, k, Nv) != cv:
-            raise NonResidue(f"{cv} is not a {k}th residue mod {Nv}")
+    d, omega = _root_plan(k, Nv)
+    y = _one_root(cv, k, Nv, None)
     roots = set()
     for _ in range(d):
         roots.add(Residue(y, Nv))

@@ -2,16 +2,20 @@
 
 The helpers here deliberately avoid the library's own code paths: sieve
 primality, exhaustive power enumeration, the FFT convolution of enumerated
-power histograms and the O(N^3) triple loop serve as ground truth for the
+power histograms, the O(N^3) triple loop and a frozen Adleman-Manders-Miller
+root extraction (Euler criterion throughout) serve as ground truth for the
 fast implementations.
 """
 
+import math
 import os
 import random
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from bealschur.modmath import factorize
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -97,6 +101,87 @@ def brute_force_witness(p, q, r, N):
             if c and c in zr:
                 return x, y, zr.index(c, 1)
     return None
+
+
+def _amm_non_residue(pi, N, rng):
+    e = (N - 1) // pi
+    for _ in range(4096):
+        rho = rng.randrange(2, N)
+        if pow(rho, e, N) != 1:
+            return rho
+    raise AssertionError(f"no non-{pi}th-residue mod {N} in 4096 draws")
+
+
+def _amm_prime_root(c, pi, N, rng):
+    """One pi-th root of c: guess c^(pi^-1 mod m), then correct in <b>."""
+    n = N - 1
+    s, m = 0, n
+    while m % pi == 0:
+        s += 1
+        m //= pi
+    b = pow(_amm_non_residue(pi, N, rng), m, N)  # order exactly pi^s
+    y = pow(c, pow(pi, -1, m), N) if m > 1 else 1
+    t = c * pow(y, -pi, N) % N
+    gamma = pow(b, pi ** (s - 1), N)
+    e = 0
+    for j in range(s):
+        w = pow(t * pow(b, -e, N) % N, pi ** (s - 1 - j), N)
+        e += [pow(gamma, i, N) for i in range(pi)].index(w) * pi**j
+    assert e % pi == 0
+    return y * pow(b, e // pi, N) % N
+
+
+def _amm_prime_power_root(c, pi, a, N, rng):
+    n = N - 1
+    zeta = pow(_amm_non_residue(pi, N, rng), n // pi, N)
+    t = c
+    for remaining in range(a - 1, -1, -1):
+        w = _amm_prime_root(t, pi, N, rng)
+        for _ in range(pi if remaining else 0):
+            if pow(w, n // pi**remaining, N) == 1:
+                break
+            w = w * zeta % N
+        t = w
+    return t
+
+
+def _bezout(values):
+    """Coefficients u_i with sum(u_i * values_i) = 1, by chained xgcd."""
+    coeffs, g = [1], values[0]
+    for v in values[1:]:
+        x0, x1, y0, y1, a, b = 1, 0, 0, 1, g, v
+        while b:
+            qt, a, b = a // b, b, a % b
+            x0, x1 = x1, x0 - qt * x1
+            y0, y1 = y1, y0 - qt * y1
+        coeffs = [u * x0 for u in coeffs] + [y0]
+        g = a
+    return coeffs
+
+
+def amm_root_reference(c, k, N, rng):
+    """One k-th root of the nonzero k-th residue c mod the prime N by AMM.
+
+    The extraction kth_root_mod made before it replayed draws: exponent
+    inversion when gcd(k, N-1) = 1, otherwise y^d = c^alpha solved prime
+    power by prime power with non-residues drawn from rng, recombined by
+    Bezout.  Its root and its use of rng are what kth_root_mod must match.
+    """
+    n = N - 1
+    d = math.gcd(k, n)
+    if d == 1:
+        return pow(c, pow(k, -1, n) if n > 1 else 0, N)
+    assert pow(c, n // d, N) == 1, "not a residue"
+    nd = n // d
+    target = pow(c, pow(k // d, -1, nd) if nd > 1 else 1, N)
+    parts = [
+        (_amm_prime_power_root(target, pi, a, N, rng), pi**a)
+        for pi, a in factorize(d, rng).items()
+    ]
+    y = 1
+    for (root, _), u in zip(parts, _bezout([d // size for _, size in parts])):
+        y = y * pow(root, u, N) % N
+    return y
 
 
 def kth_powers(k, N):

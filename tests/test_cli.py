@@ -1,7 +1,11 @@
+import contextlib
+import io
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bealschur import counting
 from bealschur.cli import run
@@ -144,6 +148,28 @@ class TestRootCommand:
             capsys, "root", "--c", "8", "--k", "3", "--modulus", "11"
         )
         assert out.strip() == "root=2"
+
+    # stdout recorded before roots were taken by replaying AMM's draws; on
+    # the 2^61 - 1 fallback path the root depends on the seed
+    @pytest.mark.parametrize(
+        "c,k,modulus,seed,expected",
+        [
+            (4568175676801420210, 2, PRIME_66_BIT, 0, 123456789123),
+            (3523928712346086392, 2, PRIME_66_BIT, 3, 36893487530135157747),
+            (7794494341789263244545, 8, PRIME_74_BIT, 0, 98765432109876),
+            (4677388657416738273909, 8, PRIME_74_BIT, 3, 9444732471912129878302),
+            (303761141636210308, 6, 2**61 - 1, 0, 267409903359626111),
+            (303761141636210308, 6, 2**61 - 1, 3, 2038433137269994375),
+            (29557132031453401, 6, 2**61 - 1, 7, 1973310135770476191),
+        ],
+    )
+    def test_seeded_root_pinned(self, capsys, c, k, modulus, seed, expected):
+        code, out, _ = invoke(
+            capsys, "root", "--c", str(c), "--k", str(k),
+            "--modulus", str(modulus), "--seed", str(seed),
+        )
+        assert code == 0
+        assert out == f"root={expected}\n"
 
     def test_non_residue_is_domain_error(self, capsys):
         code, out, err = invoke(
@@ -384,6 +410,95 @@ class TestFileErrors:
             capsys, "encrypt", "--scheme", "I", "--pub", str(pub), "--priv", str(priv),
             "--in", str(msg), "--out", str(tmp_path / "no" / "such" / "dir"),
         ))
+
+
+def write_scheme2_keys(tmp_path):
+    pub = tmp_path / "s2.pub"
+    priv = tmp_path / "s2.priv"
+    pub.write_text(serialize_fields("II", "PUBLIC", {"p": 2, "q": 4, "r": 8}))
+    priv.write_text(serialize_fields("II", "PRIVATE", {"N": PRIME_74_BIT}))
+    return pub, priv
+
+
+def exit_code(argv):
+    """run(argv) with output discarded; argparse's SystemExit gives its code.
+
+    Any other exception escapes, which is the traceback a user would see.
+    """
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return run(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+def splice(valid: bytes):
+    """Arbitrary bytes, or valid bytes with one span replaced by arbitrary ones."""
+    piece = st.one_of(st.binary(max_size=16), st.text(max_size=16).map(str.encode))
+    edit = st.tuples(st.integers(0, len(valid)), st.integers(0, 16), piece).map(
+        lambda e: valid[: e[0]] + e[2] + valid[e[0] + e[1]:]
+    )
+    return st.one_of(st.binary(max_size=200), edit)
+
+
+class TestArbitraryFileBytes:
+    """No bytes in --in, --pub or --priv end in a traceback: exit 0, 2 or 3."""
+
+    SCHEME_ARGS = {"I": [], "II": [], "III": ["--split-I", "2"]}
+    MESSAGE = b"arbitrary-bytes robustness message"
+
+    @pytest.fixture(scope="class")
+    def valid(self, tmp_path_factory):
+        base = tmp_path_factory.mktemp("valid")
+        files = {}
+        for scheme, write in (("I", write_scheme1_keys),
+                              ("II", write_scheme2_keys),
+                              ("III", write_scheme3_keys)):
+            pub, priv = write(base)
+            msg, ct = base / f"{scheme}.msg", base / f"{scheme}.ct"
+            msg.write_bytes(self.MESSAGE)
+            assert exit_code(self.crypt_argv(
+                "encrypt", scheme, pub, priv, msg, ct, len(self.MESSAGE)
+            ) + ["--seed", "1"]) == 0
+            files[scheme] = {n: p.read_bytes() for n, p in
+                             (("pub", pub), ("priv", priv), ("in", ct))}
+        return files
+
+    def crypt_argv(self, command, scheme, pub, priv, infile, outfile, size):
+        argv = [command, "--scheme", scheme, "--pub", str(pub), "--priv", str(priv),
+                "--in", str(infile), "--out", str(outfile)]
+        argv += self.SCHEME_ARGS[scheme]
+        if scheme == "III" and command == "encrypt":
+            third = size // 3
+            argv += ["--partition", f"{third},{third},{size - 2 * third}"]
+        return argv
+
+    def run_with(self, tmp_path_factory, command, scheme, contents, size=0):
+        base = tmp_path_factory.mktemp("fuzz")
+        paths = {}
+        for name, data in contents.items():
+            paths[name] = base / name
+            paths[name].write_bytes(data)
+        argv = self.crypt_argv(command, scheme, paths["pub"], paths["priv"],
+                               paths["in"], base / "out", size)
+        return exit_code(argv)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), scheme=st.sampled_from(["I", "II", "III"]),
+           name=st.sampled_from(["pub", "priv", "in"]))
+    def test_decrypt(self, tmp_path_factory, valid, data, scheme, name):
+        contents = dict(valid[scheme])
+        contents[name] = data.draw(splice(contents[name]), label=name)
+        code = self.run_with(tmp_path_factory, "decrypt", scheme, contents)
+        assert code in (0, 2, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(msg=st.binary(max_size=120), scheme=st.sampled_from(["I", "II", "III"]))
+    def test_encrypt(self, tmp_path_factory, valid, msg, scheme):
+        contents = {**valid[scheme], "in": msg}
+        code = self.run_with(tmp_path_factory, "encrypt", scheme, contents, len(msg))
+        assert code in (0, 2, 3)
 
 
 class TestSubprocessDeterminism:

@@ -11,6 +11,7 @@ from bealschur.errors import ModulusTooSmall, NonResidue, NotPrime
 from bealschur.modmath import (
     PrimeModulus,
     Residue,
+    _jacobi,
     _root_plan,
     all_kth_roots,
     as_prime_modulus,
@@ -26,6 +27,7 @@ from conftest import (
     PRIME_57_BIT,
     PRIME_66_BIT,
     PRIME_74_BIT,
+    amm_root_reference,
     kth_powers,
     sieve_primes,
     trial_division_prime,
@@ -33,6 +35,17 @@ from conftest import (
 
 SMALL_PRIMES = sieve_primes(101)
 ROOT_EXPONENTS = (2, 3, 4, 6)
+
+# (N, k) for the AMM replay oracle: d = gcd(k, N-1) is 2, 2, 2 and 6 (two
+# primes) with gcd(k, (N-1)/d) = 1, then two contexts where it is not
+REPLAY_CONTEXTS = [
+    (PRIME_66_BIT, 2),
+    (PRIME_74_BIT, 4),
+    (PRIME_74_BIT, 8),
+    (2**89 - 1, 6),
+    (2**61 - 1, 6),
+    (1000033, 8),
+]
 
 
 def slow_pow(base, exponent, modulus):
@@ -122,9 +135,47 @@ class TestPrimality:
         assert not is_probable_prime(341550071728321)
         assert is_probable_prime(2**61 - 1)
 
+    def test_fixed_bases_decide_below_psi13(self):
+        # strong pseudoprime to bases 2..23, caught by a later fixed base
+        assert not is_probable_prime(3825123056546413051)
+        # psi_12 is a strong pseudoprime to bases 2..37; base 41 catches it
+        assert not is_probable_prime(318665857834031151167461, rounds=13)
+        # psi_13 passes all 13 fixed bases; only the random rounds, which
+        # start at psi_13 itself, reject it
+        psi_13 = 3317044064679887385961981
+        assert is_probable_prime(psi_13, rounds=13)
+        assert not is_probable_prime(psi_13)
+
     def test_certainty_recorded_rounds(self):
         pm = PrimeModulus(2**64 + 13, rounds=12)
         assert pm.certainty == "probable(12)"
+
+
+def euler_character(a, N):
+    """Legendre symbol of a mod the odd prime N by Euler's criterion."""
+    v = pow(a, (N - 1) // 2, N)
+    return -1 if v == N - 1 else v
+
+
+class TestJacobi:
+    def test_equals_euler_for_small_primes(self):
+        for N in sieve_primes(2000)[1:]:
+            for a in range(N):
+                assert _jacobi(a, N) == euler_character(a, N), (a, N)
+
+    @pytest.mark.parametrize("N", [PRIME_57_BIT, PRIME_66_BIT, PRIME_74_BIT])
+    def test_equals_euler_at_scheme_moduli(self, rng, N):
+        for _ in range(1000):
+            a = rng.randrange(N)
+            assert _jacobi(a, N) == euler_character(a, N)
+
+    def test_multiplicative_in_odd_modulus(self):
+        for n in range(3, 500, 2):
+            for a in range(-20, 60):
+                expected = 1
+                for pi, e in factorize(n).items():
+                    expected *= euler_character(a % pi, pi) ** e
+                assert _jacobi(a, n) == expected, (a, n)
 
 
 class TestKthResidue:
@@ -211,14 +262,17 @@ class TestKthRoot:
         ],
     )
     def test_large_modulus_root_set(self, rng, N, k, exponent_path):
-        d, _, e = _root_plan(k, N)
+        d, _ = _root_plan(k, N)
         assert d == math.gcd(k, N - 1)
-        assert (e is not None) == exponent_path
+        m = (N - 1) // d
+        assert (math.gcd(k, m) == 1) == exponent_path
         for _ in range(5):
             c = pow(rng.randrange(2, N), k, N)
             roots = all_kth_roots(c, k, N)
             assert len(roots) == d
             assert all(pow(y.value, k, N) == c for y in roots)
+            if exponent_path:
+                assert Residue(pow(c, pow(k, -1, m), N), N) in roots
 
     def test_root_count_is_gcd(self):
         for N in SMALL_PRIMES:
@@ -267,6 +321,42 @@ class TestKthRoot:
         monkeypatch.setattr(modmath, "factorize", refuse)
         assert decrypt_I(ct_one, (2, PRIME_66_BIT), (2, 2)) == msg
         assert decrypt_II(ct_two, (2, 4, 8), PRIME_74_BIT) == msg
+
+    @pytest.mark.parametrize("N,k", REPLAY_CONTEXTS)
+    def test_replays_amm_draws(self, N, k):
+        # same root and same final rng state as the AMM extraction
+        make_c = random.Random(N ^ k)
+        ours, reference = random.Random(7), random.Random(7)
+        modulus = PrimeModulus(N)
+        for _ in range(500):
+            c = pow(make_c.randrange(1, N), k, N)
+            assert kth_root_mod(c, k, modulus, ours).value == amm_root_reference(
+                c, k, N, reference
+            )
+            assert ours.getstate() == reference.getstate()
+
+    def test_replays_amm_draws_exhaustively(self):
+        for N in sieve_primes(200):
+            for k in range(1, 13):
+                ours, reference = random.Random(N), random.Random(N)
+                for c in sorted(kth_powers(k, N) - {0}):
+                    assert kth_root_mod(c, k, N, ours).value == amm_root_reference(
+                        c, k, N, reference
+                    )
+                assert ours.getstate() == reference.getstate(), (N, k)
+
+    @pytest.mark.parametrize("N,k", REPLAY_CONTEXTS)
+    def test_non_residue_draws_nothing(self, N, k):
+        d = math.gcd(k, N - 1)
+        gen = random.Random(N)
+        c = gen.randrange(2, N)
+        while pow(c, (N - 1) // d, N) == 1:
+            c = gen.randrange(2, N)
+        ours = random.Random(7)
+        before = ours.getstate()
+        with pytest.raises(NonResidue):
+            kth_root_mod(c, k, N, ours)
+        assert ours.getstate() == before
 
     def test_seeded_rng_reproducible(self):
         N, k, c = 73, 8, pow(5, 8, 73)

@@ -71,6 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     kg = sub.add_parser("keygen", help="generate a key pair")
+    kg.set_defaults(handler=_cmd_keygen)
     kg.add_argument("--scheme", required=True, choices=["kg1", "kg2"])
     kg.add_argument("--max-exp", required=True, type=int)
     kg.add_argument("--prime-bits", required=True, type=_bit_range, metavar="LO..HI")
@@ -80,11 +81,12 @@ def _build_parser() -> argparse.ArgumentParser:
     kg.add_argument("--literal-6-2", dest="literal_roles", action="store_true",
                     help="KG2 only: publish (p,q,r,x,y) instead of (p,q,r,z)")
 
-    for name in ("encrypt", "decrypt"):
+    for name, handler in (("encrypt", _cmd_encrypt), ("decrypt", _cmd_decrypt)):
         ps = sub.add_parser(name, help=f"{name} a file")
+        ps.set_defaults(handler=handler)
         ps.add_argument("--scheme", required=True, choices=["I", "II", "III"])
         ps.add_argument("--pub", required=True)
-        ps.add_argument("--priv")
+        ps.add_argument("--priv", required=True)
         ps.add_argument("--in", dest="infile", required=True)
         ps.add_argument("--out", dest="outfile", required=True)
         ps.add_argument("--seed", type=int)
@@ -94,21 +96,25 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="scheme III: 1-based segment indices run as scheme I")
 
     vf = sub.add_parser("verify", help="run the nontrivial-solution bound chain")
+    vf.set_defaults(handler=_cmd_verify)
     for flag in ("--p", "--q", "--r", "--modulus"):
         vf.add_argument(flag, required=True, type=int)
 
     ct = sub.add_parser("count", help="count solutions of x^p + y^q = z^r")
+    ct.set_defaults(handler=_cmd_count)
     for flag in ("--p", "--q", "--r", "--modulus"):
         ct.add_argument(flag, required=True, type=int)
     ct.add_argument("--fourier", action="store_true")
     ct.add_argument("--brute", action="store_true")
 
     sm = sub.add_parser("sums", help="evaluate one exponential sum")
+    sm.set_defaults(handler=_cmd_sums)
     sm.add_argument("--k", required=True, type=int)
     sm.add_argument("--ell", required=True, type=int)
     sm.add_argument("--modulus", required=True, type=int)
 
     rt = sub.add_parser("root", help="k-th root(s) modulo a prime")
+    rt.set_defaults(handler=_cmd_root)
     rt.add_argument("--c", required=True, type=int)
     rt.add_argument("--k", required=True, type=int)
     rt.add_argument("--modulus", required=True, type=int)
@@ -131,12 +137,10 @@ def _cmd_keygen(args) -> int:
     return EXIT_OK
 
 
-def _scheme_keys(args, parser):
+def _scheme_keys(args):
     """The two key arguments of crypto's scheme functions, from the key files."""
     halves = []
     for role, path in (("PUBLIC", args.pub), ("PRIVATE", args.priv)):
-        if path is None:
-            parser.error(f"scheme {args.scheme} needs --priv")
         half = keygen.parse_key(_file(path, "r"))
         if (half.scheme, half.role) != (args.scheme, role):
             raise SchemeMismatch(
@@ -158,22 +162,22 @@ def _scheme_keys(args, parser):
     return contexts, (ones, [i for i in indices if i not in ones])
 
 
-def _cmd_encrypt(args, parser) -> int:
-    keys = _scheme_keys(args, parser)
+def _cmd_encrypt(args) -> int:
+    keys = _scheme_keys(args)
     rng = _rng(args.seed)
     msg = _file(args.infile, "rb")
     partition = ()
     if args.scheme == "III":
         if not args.partition:
-            parser.error("scheme III needs --partition")
+            _build_parser().error("scheme III needs --partition")
         partition = (args.partition,)
     ct = getattr(crypto, f"encrypt_{args.scheme}")(msg, *partition, *keys, rng)
     _file(args.outfile, "w", ct.to_text())
     return EXIT_OK
 
 
-def _cmd_decrypt(args, parser) -> int:
-    keys = _scheme_keys(args, parser)
+def _cmd_decrypt(args) -> int:
+    keys = _scheme_keys(args)
     ct = crypto.Ciphertext.from_text(_file(args.infile, "r"))
     _file(args.outfile, "wb", getattr(crypto, f"decrypt_{args.scheme}")(ct, *keys))
     return EXIT_OK
@@ -219,30 +223,15 @@ def _cmd_root(args) -> int:
 
 def run(argv) -> int:
     """Execute one CLI invocation; returns the process exit code."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "keygen":
-            return _cmd_keygen(args)
-        if args.command == "encrypt":
-            return _cmd_encrypt(args, parser)
-        if args.command == "decrypt":
-            return _cmd_decrypt(args, parser)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "count":
-            return _cmd_count(args)
-        if args.command == "sums":
-            return _cmd_sums(args)
-        if args.command == "root":
-            return _cmd_root(args)
+        return args.handler(args)
     except BealSchurError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 def main() -> None:

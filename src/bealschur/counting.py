@@ -41,6 +41,13 @@ def _counting_modulus(N) -> int:
     return Nv
 
 
+def _count_modulus(p: int, q: int, r: int, N) -> int:
+    """The modulus of a count of x^p + y^q = z^r, after requiring p, q, r >= 1."""
+    if min(p, q, r) < 1:
+        raise ValueError("exponents must be positive")
+    return _counting_modulus(N)
+
+
 def _powers(a: int, count: int, N: int) -> np.ndarray:
     """[a^0, a^1, ..., a^(count-1)] mod N, doubling the list each step."""
     out = np.ones(1, dtype=np.int64)
@@ -58,14 +65,9 @@ class PowerHistogram:
     freq: np.ndarray
 
     @property
-    def support_size(self) -> int:
-        """Number of attained values, i.e. |image of x -> x^ell|."""
-        return int(np.count_nonzero(self.freq))
-
-    @property
     def nonzero_image_size(self) -> int:
         """|{a^ell : a nonzero}|, the power subgroup size."""
-        return self.support_size - (1 if self.freq[0] else 0)
+        return int(np.count_nonzero(self.freq[1:]))
 
 
 def power_histogram(ell: int, N) -> PowerHistogram:
@@ -127,9 +129,7 @@ def count_trivial(p: int, q: int, r: int, N) -> int:
     the zero coordinate (two zeros force the third) gives 1 + (N-1) *
     (gcd(d_q, d_r) + gcd(d_p, d_r) + [g if -1 is a g-th power]).
     """
-    if min(p, q, r) < 1:
-        raise ValueError("exponents must be positive")
-    Nv = _counting_modulus(N)
+    Nv = _count_modulus(p, q, r, N)
     n = Nv - 1
     dp, dq, dr = (math.gcd(e, n) for e in (p, q, r))
     g = math.gcd(dp, dq)
@@ -195,9 +195,7 @@ def count_solutions_exact(p: int, q: int, r: int, N) -> SolutionCount:
     gcd(d_q,d_r) | ind t - ind(1+t); by the generalized CRT each admits
     n/D values of a.  All three gcds 1 give T = N-2 with no table.
     """
-    if min(p, q, r) < 1:
-        raise ValueError("exponents must be positive")
-    Nv = _counting_modulus(N)
+    Nv = _count_modulus(p, q, r, N)
     n = Nv - 1
     dp, dq, dr = (math.gcd(e, n) for e in (p, q, r))
     gpq, gpr, gqr = math.gcd(dp, dq), math.gcd(dp, dr), math.gcd(dq, dr)
@@ -222,7 +220,7 @@ def count_solutions_fourier(p: int, q: int, r: int, N) -> float:
 
 def count_solutions_bruteforce(p: int, q: int, r: int, N) -> int:
     """Reference O(N^3) triple loop; for cross-checks at tiny N only."""
-    Nv = _counting_modulus(N)
+    Nv = _count_modulus(p, q, r, N)
     xp = [pow(x, p, Nv) for x in range(Nv)]
     yq = [pow(y, q, Nv) for y in range(Nv)]
     zr = [pow(z, r, Nv) for z in range(Nv)]

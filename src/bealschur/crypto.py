@@ -34,6 +34,7 @@ from .errors import (
     PartitionMismatch,
     SchemeMismatch,
 )
+from .keygen import parse_decimal
 from .modmath import Residue, all_kth_roots, as_prime_modulus
 from .triplets import BSContext, find_bs_pair
 
@@ -146,10 +147,10 @@ class Ciphertext:
         header = {key: value for key, _, value in fields}
         scheme = header.get("scheme", "")
         try:
-            count = int(header.get("blocks", "-1"))
-            rows = [tuple(map(int, ln.split())) for ln in lines[1:]]
+            count = parse_decimal(header.get("blocks", "-1"))
+            rows = [tuple(map(parse_decimal, ln.split(" "))) for ln in lines[1:]]
         except ValueError:
-            raise SchemeMismatch("non-integer blocks= or pair token") from None
+            raise SchemeMismatch("non-canonical blocks= or pair token") from None
         if count != len(rows):
             raise SchemeMismatch(f"expected {count} blocks, found {len(rows)}")
         if any(len(row) not in (2, 3) for row in rows):
@@ -250,9 +251,9 @@ def encrypt_III(
     is also the pair order in the ciphertext; each pair records its
     segment index.
     """
-    if sum(partition) != len(msg):
+    if min(partition, default=0) < 0 or sum(partition) != len(msg):
         raise PartitionMismatch(
-            f"partition sums to {sum(partition)}, message has {len(msg)} bytes"
+            f"partition {list(partition)} does not split {len(msg)} bytes"
         )
     n = len(partition)
     if len(contexts) != n:
@@ -274,10 +275,11 @@ def encrypt_III(
 
 
 def decrypt_III(ct: Ciphertext, contexts, split) -> bytes:
-    """Invert encrypt_III; the split assigns contexts to the recorded runs.
+    """Invert encrypt_III; each run decrypts under its recorded index.
 
-    A wrong split pairs runs with the wrong moduli, which surfaces as
-    NoValidRoot, ChecksumMismatch or SchemeMismatch, never silent garbage.
+    The recorded run indices must equal the split order over the nonempty
+    segments, so a wrong split raises PartitionMismatch before any block is
+    decrypted, even when two segments share a context.
     """
     if ct.scheme != "III":
         raise SchemeMismatch(f"scheme {ct.scheme} ciphertext given to scheme III")
@@ -287,14 +289,13 @@ def decrypt_III(ct: Ciphertext, contexts, split) -> bytes:
     if ct.ctx_indices is None:
         raise PartitionMismatch("scheme III ciphertext lacks context indices")
     tagged = zip(ct.pairs, ct.ctx_indices)
-    runs = [[pair for pair, _ in run] for _, run in groupby(tagged, itemgetter(1))]
+    runs = [(i, [pair for pair, _ in run]) for i, run in groupby(tagged, itemgetter(1))]
     # empty segments produce no pairs, so they have no run
     present = set(ct.ctx_indices)
-    nonempty = [i for i in order if i in present]
-    if len(runs) != len(nonempty):
-        raise PartitionMismatch("run structure does not match the split")
+    if [i for i, _ in runs] != [i for i in order if i in present]:
+        raise PartitionMismatch("recorded run indices do not follow the split order")
     segments: dict[int, bytes] = {i: b"" for i in order}
-    for i, run in zip(nonempty, runs):
+    for i, run in runs:
         segments[i] = _decrypt_blocks(run, ctxs[i - 1])
     return b"".join(segments[i] for i in sorted(segments))
 

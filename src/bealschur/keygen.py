@@ -204,6 +204,14 @@ def serialize_fields(scheme: str, role: str, fields: dict[str, int]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def parse_decimal(token: str) -> int:
+    """int(token) for a canonical token, str(int(token)) == token; else ValueError."""
+    value = int(token)
+    if str(value) != token:
+        raise ValueError(f"non-canonical integer {token!r}")
+    return value
+
+
 def parse_key(text: str) -> KeyHalf:
     """Parse a BSKEY v1 file; structural errors raise MalformedKeyFile."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
@@ -230,9 +238,9 @@ def parse_key(text: str) -> KeyHalf:
         if name in fields:
             raise MalformedKeyFile(f"duplicate field {name!r}")
         try:
-            fields[name] = int(value)
+            fields[name] = parse_decimal(value)
         except ValueError:
-            raise MalformedKeyFile(f"non-integer value in {ln!r}")
+            raise MalformedKeyFile(f"non-canonical integer value in {ln!r}")
     _validate_field_set(scheme, role, fields)
     return KeyHalf(scheme=scheme, role=role, fields=fields)
 

@@ -79,12 +79,10 @@ class PrimeModulus:
             raise NotPrime(f"{self.value} failed primality certification")
 
     @property
-    def proven(self) -> bool:
-        return self.value < TRIAL_DIVISION_LIMIT
-
-    @property
     def certainty(self) -> str:
-        return "proven-by-trial-division" if self.proven else f"probable({self.rounds})"
+        if self.value < TRIAL_DIVISION_LIMIT:
+            return "proven-by-trial-division"
+        return f"probable({self.rounds})"
 
     def __int__(self) -> int:
         return self.value
@@ -263,33 +261,36 @@ def _jacobi(a: int, n: int) -> int:
     return sign if n == 1 else 0
 
 
+def _checked_input(c, k: int, N) -> tuple[int, int]:
+    """(c mod N, N) for the k-th power functions, after certifying N and k >= 1."""
+    Nv = as_prime_modulus(N).value
+    if k < 1:
+        raise ValueError("k must be positive")
+    return int(c) % Nv, Nv
+
+
+def _is_power(c: int, d: int, N: int) -> bool:
+    """Euler's criterion for a nonzero c and d | N-1 (for d = 2, the Jacobi symbol)."""
+    if d == 2:
+        return _jacobi(c, N) == 1
+    return pow(c, (N - 1) // d, N) == 1
+
+
 def kth_residue_test(t, k: int, N) -> bool:
     """True iff some y in Z_N satisfies y**k = t (mod N).
 
-    Euler-style criterion: t == 0 is always a residue; otherwise test
-    t^((N-1)/d) == 1 with d = gcd(k, N-1).  For d = 2 that is the Jacobi
-    symbol (t/N) == 1, computed by reciprocity instead of a power.
+    t == 0 is always a residue; otherwise t must be a d-th power with
+    d = gcd(k, N-1).
     """
-    Nm = as_prime_modulus(N)
-    if k < 1:
-        raise ValueError("k must be positive")
-    tv = int(t) % Nm.value
-    if tv == 0:
-        return True
-    n = Nm.value - 1
-    d = math.gcd(k, n)
-    if d == 2:
-        return _jacobi(tv, Nm.value) == 1
-    return pow(tv, n // d, Nm.value) == 1
+    tv, Nv = _checked_input(t, k, N)
+    return tv == 0 or _is_power(tv, math.gcd(k, Nv - 1), Nv)
 
 
 def _find_non_residue(pi: int, N: int, rng: random.Random) -> int:
     """Random element that is not a pi-th power mod N (pi prime, pi | N-1)."""
-    e = (N - 1) // pi
     for _ in range(4096):
         rho = rng.randrange(2, N)
-        residue = _jacobi(rho, N) == 1 if pi == 2 else pow(rho, e, N) == 1
-        if not residue:
+        if not _is_power(rho, pi, N):
             return rho
     raise NonResidue(f"could not find a non-{pi}th-residue mod {N}")
 
@@ -374,7 +375,7 @@ def _one_root(c: int, k: int, N: int, rng: random.Random | None) -> int:
                 for _ in range(1 + a):
                     _find_non_residue(pi, N, rng)
         return y
-    if pow(c, m, N) != 1:
+    if not _is_power(c, d, N):
         raise NonResidue(f"{c} is not a {k}th residue mod {N}")
     rng = rng or random.Random(_FALLBACK_SEED)
     # same solution set as y^k = c, since c is a residue
@@ -399,13 +400,10 @@ def kth_root_mod(c, k: int, N, rng: random.Random | None = None) -> Residue:
     exactly as AMM does.  Otherwise AMM solves y^d prime power by prime
     power, recombining with Bezout coefficients.
     """
-    Nm = as_prime_modulus(N)
-    if k < 1:
-        raise ValueError("k must be positive")
-    cv = int(c) % Nm.value
+    cv, Nv = _checked_input(c, k, N)
     if cv == 0:
-        return Residue(0, Nm.value)
-    return Residue(_one_root(cv, k, Nm.value, rng), Nm.value)
+        return Residue(0, Nv)
+    return Residue(_one_root(cv, k, Nv, rng), Nv)
 
 
 def _bezout_combination(values: list[int]) -> list[int]:
@@ -455,13 +453,9 @@ def all_kth_roots(c, k: int, N) -> set[Residue]:
     exponentiation when gcd(k, (N-1)/d) = 1, no draws); the rest are y
     times the powers of the cached element of order d = gcd(k, N-1).
     """
-    Nm = as_prime_modulus(N)
-    Nv = Nm.value
-    cv = int(c) % Nv
+    cv, Nv = _checked_input(c, k, N)
     if cv == 0:
         return {Residue(0, Nv)}
-    if k < 1:
-        raise ValueError("k must be positive")
     d, omega = _root_plan(k, Nv)
     y = _one_root(cv, k, Nv, None)
     roots = set()

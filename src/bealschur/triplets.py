@@ -42,16 +42,7 @@ def is_intra_divisible(p: int, q: int, r: int, *, literal: bool = False) -> bool
     asymmetric variant; the default symmetric reading is what the rest of
     the package uses.
     """
-    for e in (p, q, r):
-        if e < 2:
-            raise ExponentTooSmall(f"exponent {e} < 2")
-    first = r % q == 0 or q % r == 0
-    third = p % q == 0 or q % p == 0
-    if literal:
-        middle = r % p == 0 or q % r == 0
-    else:
-        middle = r % p == 0 or p % r == 0
-    return first and middle and third
+    return ExponentTriplet(p, q, r).is_intra_divisible(literal=literal)
 
 
 def indiscernibility_threshold(p: int, q: int, r: int) -> int:
@@ -75,16 +66,26 @@ class ExponentTriplet:
     @classmethod
     def validated(cls, p: int, q: int, r: int) -> "ExponentTriplet":
         """Construct and require intra-divisibility."""
-        t = cls(p, q, r)
-        if not t.is_intra_divisible():
-            raise NotIntraDivisible(f"({p}, {q}, {r}) is not intra-divisible")
-        return t
+        return _require_intra_divisible(cls(p, q, r))
 
     def is_intra_divisible(self, *, literal: bool = False) -> bool:
-        return is_intra_divisible(self.p, self.q, self.r, literal=literal)
+        p, q, r = self.p, self.q, self.r
+        first = r % q == 0 or q % r == 0
+        third = p % q == 0 or q % p == 0
+        if literal:
+            middle = r % p == 0 or q % r == 0
+        else:
+            middle = r % p == 0 or p % r == 0
+        return first and middle and third
 
     def threshold(self) -> int:
         return indiscernibility_threshold(self.p, self.q, self.r)
+
+
+def _require_intra_divisible(t: ExponentTriplet) -> ExponentTriplet:
+    if not t.is_intra_divisible():
+        raise NotIntraDivisible(f"({t.p}, {t.q}, {t.r}) is not intra-divisible")
+    return t
 
 
 def is_indiscernible(N, triplet: ExponentTriplet) -> bool:
@@ -104,11 +105,7 @@ class BSContext:
     modulus: PrimeModulus
 
     def __post_init__(self):
-        if not self.triplet.is_intra_divisible():
-            raise NotIntraDivisible(
-                f"({self.triplet.p}, {self.triplet.q}, {self.triplet.r})"
-                " is not intra-divisible"
-            )
+        _require_intra_divisible(self.triplet)
         bound = self.triplet.threshold()
         if self.modulus.value <= bound:
             raise NotIndiscernible(
@@ -160,9 +157,6 @@ class BSTriplet:
     def nontrivial(self) -> bool:
         """N does not divide x*y*z."""
         return self.x.value != 0 and self.y.value != 0 and self.z.value != 0
-
-    def satisfies(self, ctx: BSContext) -> bool:
-        return is_bs_triplet(self.x, self.y, self.z, ctx)
 
 
 def is_bs_triplet(x, y, z, ctx: BSContext) -> bool:

@@ -202,3 +202,12 @@ PRIME_66_BIT = 2**65 + 131           # gcd(2, N-1) = 2
 PRIME_57_BIT = 2**56 + 97            # N = 2 mod 3, so gcd(3, N-1) = 1
 PRIME_74_BIT = 2**73 + 291           # gcd(8, N-1) = 2
 FERMAT_65537 = 65537
+
+# spellings of a decimal token v that int() accepts besides the canonical v
+NON_CANONICAL = {
+    "leading-zero": lambda v: "0" + v,
+    "plus-sign": lambda v: "+" + v,
+    "underscore": lambda v: v[0] + "_" + v[1:],
+    "space": lambda v: " " + v,
+    "arabic-indic": lambda v: v.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+}

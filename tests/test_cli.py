@@ -302,6 +302,17 @@ class TestEncryptDecryptFiles:
         assert code == 0
         assert out.read_bytes() == msg.read_bytes()
 
+    def test_negative_partition_is_domain_error(self, capsys, tmp_path):
+        pub, priv = write_scheme3_keys(tmp_path)
+        msg = tmp_path / "m.bin"
+        msg.write_bytes(b"abcd")
+        code, _, err = invoke(
+            capsys, "encrypt", "--scheme", "III", "--pub", str(pub), "--priv", str(priv),
+            "--partition=-2,3,3", "--in", str(msg), "--out", str(tmp_path / "m.ct"),
+        )
+        assert code == 3
+        assert "error: PartitionMismatch" in err
+
     @pytest.mark.parametrize("fault", ["scheme", "role"])
     @pytest.mark.parametrize("half", ["public", "private"])
     def test_wrong_key_file_scheme(self, capsys, tmp_path, half, fault):

@@ -7,6 +7,7 @@ import pytest
 from bealschur.counting import (
     count_lower_bound,
     count_power_matches,
+    count_solutions_bruteforce,
     count_solutions_exact,
     count_solutions_fourier,
     count_trivial,
@@ -143,6 +144,15 @@ class TestExactCount:
         for bad in ((0, 2, 2), (2, 0, 2), (2, 2, -1)):
             with pytest.raises(ValueError, match="exponents must be positive"):
                 count_solutions_exact(*bad, 7)
+
+    @pytest.mark.parametrize("bad", [(0, 1, 1), (1, 0, 1), (1, 1, -1)])
+    @pytest.mark.parametrize(
+        "count", [count_trivial, count_solutions_exact, count_solutions_bruteforce]
+    )
+    def test_every_count_rejects_exponent_below_one(self, count, bad):
+        # pow(x, 0, N) is 1, so an unchecked brute force would count (0, 1, 1, 7) as 49
+        with pytest.raises(ValueError, match="exponents must be positive"):
+            count(*bad, 7)
 
     def test_fourier_field_is_close(self):
         for N in (7, 31, 101):

@@ -30,7 +30,13 @@ from bealschur.errors import (
 )
 from bealschur.triplets import BSContext, is_bs_triplet
 
-from conftest import FERMAT_65537, PRIME_57_BIT, PRIME_66_BIT, PRIME_74_BIT
+from conftest import (
+    FERMAT_65537,
+    NON_CANONICAL,
+    PRIME_57_BIT,
+    PRIME_66_BIT,
+    PRIME_74_BIT,
+)
 
 
 KEYS_I = ((2, PRIME_66_BIT), (2, 2))            # pub (r, N), priv (p, q)
@@ -293,8 +299,23 @@ class TestSchemeIII:
         msg = random_message(rng, 300)
         partition = [100, 100, 100]
         ct = encrypt_III(msg, partition, CONTEXTS_III, self.SPLIT, rng)
-        with pytest.raises((NoValidRoot, ChecksumMismatch)):
+        with pytest.raises(PartitionMismatch):
             decrypt_III(ct, CONTEXTS_III, ([1], [2, 3]))
+
+    def test_wrong_split_with_equal_contexts_raises(self):
+        # equal contexts decrypt each other's blocks, so only the recorded
+        # run indices can tell a swapped split from the right one
+        contexts = [CONTEXTS_III[0]] * 2
+        ct = encrypt_III(b"hello world", [5, 6], contexts, ([1], [2]), random.Random(0))
+        assert decrypt_III(ct, contexts, ([1], [2])) == b"hello world"
+        with pytest.raises(PartitionMismatch):
+            decrypt_III(ct, contexts, ([2], [1]))
+
+    def test_negative_partition_length_rejected(self):
+        with pytest.raises(PartitionMismatch):
+            encrypt_III(
+                b"abcd", [-2, 3, 3], CONTEXTS_III, ([1], [2, 3]), random.Random(0)
+            )
 
     def test_context_indices_follow_split_order(self, rng):
         msg = random_message(rng, 30)
@@ -399,6 +420,14 @@ class TestCiphertextFormat:
     def test_malformed_text_rejected(self, text):
         with pytest.raises(SchemeMismatch):
             Ciphertext.from_text(text)
+
+    @pytest.mark.parametrize("spelling", NON_CANONICAL.values(), ids=NON_CANONICAL)
+    def test_non_canonical_token_rejected(self, spelling):
+        text = encrypt_I(b"ab", *KEYS_I, random.Random(0)).to_text()
+        head, first, rest = text.split("\n", 2)
+        x, y = first.split(" ")
+        with pytest.raises(SchemeMismatch):
+            Ciphertext.from_text("\n".join([head, f"{spelling(x)} {y}", rest]))
 
     @given(text=_ciphertext_text)
     @settings(max_examples=300, deadline=None)

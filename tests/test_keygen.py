@@ -24,6 +24,8 @@ from bealschur.keygen import (
 )
 from bealschur.triplets import is_bs_triplet, is_indiscernible, is_intra_divisible
 
+from conftest import NON_CANONICAL
+
 DATA = Path(__file__).parent / "data"
 
 BOUNDS = (4, (18, 24))
@@ -187,6 +189,21 @@ class TestSerialization:
         with pytest.raises(MalformedKeyFile, match="duplicate"):
             parse_key("BSKEY v1 PUBLIC scheme=KG1\nN=11\nz=3\nz=4\nend\n")
 
+    @pytest.mark.parametrize("spelling", NON_CANONICAL.values(), ids=NON_CANONICAL)
+    def test_non_canonical_token_rejected(self, spelling):
+        text = (DATA / "kg1_seed4242.pub").read_text()
+        with pytest.raises(MalformedKeyFile):
+            parse_key(text.replace("N=4732703", f"N={spelling('4732703')}"))
+
+    def test_negative_token_reaches_canonical_check(self):
+        pub = parse_key((DATA / "kg1_seed4242.pub").read_text())
+        priv_text = (DATA / "kg1_seed4242.priv").read_text()
+        priv = parse_key(priv_text.replace("x=33926", "x=-33926"))
+        assert priv.fields["x"] == -33926
+        with pytest.raises(InvariantViolated) as err:
+            assemble_keypair(pub, priv)
+        assert err.value.check == "canonical"
+
     def test_scheme3_count_checked_before_names(self):
         for n in (10**7, -1):
             start = time.perf_counter()
@@ -285,6 +302,26 @@ class TestGolden:
         for role, suffix in (("PUBLIC", "pub"), ("PRIVATE", "priv")):
             golden = (DATA / f"{name}.{suffix}").read_text()
             assert serialize_key(key, role) == golden
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    @pytest.mark.parametrize(
+        "field,check",
+        [("N", "indiscernible-prime")]
+        + [(e, "intra-divisible") for e in "pqr"]
+        + [(v, "bs-congruence") for v in "xyz"],
+    )
+    @pytest.mark.parametrize("name", ["kg1_seed4242", "kg2_seed4242"])
+    def test_single_field_edit_names_its_check(self, name, field, check, delta):
+        texts = {}
+        for suffix in ("pub", "priv"):
+            lines = (DATA / f"{name}.{suffix}").read_text().splitlines()
+            for i, line in enumerate(lines):
+                if line.startswith(f"{field}="):
+                    lines[i] = f"{field}={int(line[2:]) + delta}"
+            texts[suffix] = "\n".join(lines) + "\n"
+        with pytest.raises(InvariantViolated) as err:
+            assemble_keypair(parse_key(texts["pub"]), parse_key(texts["priv"]))
+        assert err.value.check == check
 
     @pytest.mark.parametrize("name", ["kg1_seed4242", "kg2_seed4242"])
     def test_golden_files_assemble(self, name):

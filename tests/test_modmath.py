@@ -227,6 +227,14 @@ class TestKthRoot:
             k = rng.choice(ROOT_EXPONENTS)
             assert Residue(1, N) in all_kth_roots(1, k, N)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    @pytest.mark.parametrize("c", [0, 3])
+    @pytest.mark.parametrize("fn", [kth_residue_test, kth_root_mod, all_kth_roots])
+    def test_k_below_one_rejected(self, fn, c, k):
+        # c = 0 has a root for every k >= 1, so it must not skip the k check
+        with pytest.raises(ValueError, match="k must be positive"):
+            fn(c, k, 7)
+
     def test_non_residue_raises(self):
         with pytest.raises(NonResidue):
             kth_root_mod(3, 2, 7)

@@ -1,9 +1,10 @@
 """Counting solutions of x^p + y^q = z^r (mod N) and the bound chain.
 
 The exact count is a closed form plus one O(N) integer count over a
-discrete-log table: no floats, no FFT.  The trivial count (x*y*z = 0) is
-closed form.  A Fourier-side evaluation through the exponential sums
-S_k(ell) = sum_x exp(2 pi i k x^ell / N), the only FFT here, is a floating
+discrete-log table: no floats.  The trivial count (x*y*z = 0) and the
+power-match count are closed forms.  A Fourier-side evaluation through the
+exponential sums S_k(ell) = sum_x exp(2 pi i k x^ell / N), which for k != 0
+are Gauss periods of one O(N) pass over a generator's powers, is a floating
 cross-check that runs only when SolutionCount.fourier is read
 (``count --fourier``).  verify_bound_chain evaluates the full inequality
 chain that forces a nontrivial solution once N exceeds 32 p^2 q^2 r^2,
@@ -22,6 +23,7 @@ import numpy as np
 
 from .errors import InvalidContext
 from .modmath import (
+    PrimeModulus,
     all_kth_roots,
     as_prime_modulus,
     find_generator,
@@ -32,18 +34,18 @@ from .triplets import BSContext, BSTriplet, Residue
 _MAX_COUNTING_MODULUS = 1 << 31
 
 
-def _counting_modulus(N) -> int:
-    Nv = as_prime_modulus(N).value
-    if Nv >= _MAX_COUNTING_MODULUS:
+def _counting_modulus(N) -> PrimeModulus:
+    modulus = as_prime_modulus(N)
+    if modulus.value >= _MAX_COUNTING_MODULUS:
         raise ValueError(
-            f"counting supports moduli below 2^31 (int64 exactness), got {Nv}"
+            f"counting supports moduli below 2^31 (int64 exactness), got {int(N)}"
         )
-    return Nv
+    return modulus
 
 
-def _count_modulus(p: int, q: int, r: int, N) -> int:
-    """The modulus of a count of x^p + y^q = z^r, after requiring p, q, r >= 1."""
-    if min(p, q, r) < 1:
+def _count_modulus(N, *exponents: int) -> PrimeModulus:
+    """The certified modulus of a count, after requiring every exponent >= 1."""
+    if min(exponents) < 1:
         raise ValueError("exponents must be positive")
     return _counting_modulus(N)
 
@@ -78,10 +80,11 @@ def power_histogram(ell: int, N) -> PowerHistogram:
     """
     if ell < 1:
         raise ValueError("ell must be positive")
-    Nv = _counting_modulus(N)
+    modulus = _counting_modulus(N)
+    Nv = modulus.value
     d = math.gcd(ell, Nv - 1)
     freq = np.zeros(Nv, dtype=np.int64)
-    freq[_powers(pow(find_generator(Nv), d, Nv), (Nv - 1) // d, Nv)] = d
+    freq[_powers(pow(find_generator(modulus), d, Nv), (Nv - 1) // d, Nv)] = d
     freq[0] = 1
     return PowerHistogram(ell=ell, modulus=Nv, freq=freq)
 
@@ -98,28 +101,44 @@ class ExpSum:
 
 def exp_sum(k: int, ell: int, N) -> ExpSum:
     """One exponential sum, evaluated termwise from the power histogram."""
-    Nv = _counting_modulus(N)
+    modulus = _counting_modulus(N)
+    Nv = modulus.value
     if not 0 <= k < Nv:
         raise ValueError(f"k must lie in [0, {Nv - 1}]")
-    hist = power_histogram(ell, Nv)
+    hist = power_histogram(ell, modulus)
     phases = np.exp((2j * math.pi * k / Nv) * np.arange(Nv))
     return ExpSum(k=k, ell=ell, modulus=Nv, value=complex(hist.freq @ phases))
 
 
+def _gauss_periods(D: int, modulus: PrimeModulus) -> tuple[np.ndarray, np.ndarray]:
+    """powers[m] = g^m mod N (m < N-1) for a generator g, and the Gauss
+    periods eta[j] = sum_{m = j (mod D)} exp(2 pi i g^m / N), j < D, D | N-1."""
+    Nv = modulus.value
+    powers = _powers(find_generator(modulus), Nv - 1, Nv)
+    return powers, np.exp((2j * math.pi / Nv) * powers).reshape(-1, D).sum(axis=0)
+
+
 def exp_sum_table(ell: int, N) -> np.ndarray:
-    """All N exponential sums S_k(ell), k = 0..N-1, via one FFT."""
-    Nv = _counting_modulus(N)
-    hist = power_histogram(ell, Nv)
-    # fft uses kernel exp(-2 pi i k a / N); conjugate flips the sign
-    return np.conj(np.fft.fft(hist.freq.astype(np.float64)))
+    """All N exponential sums S_k(ell) in O(N): S_0 = N and, from the Gauss
+    periods eta_d of a generator g, S_{g^j}(ell) = 1 + d eta_d[j mod d] with
+    d = gcd(ell, N-1), since ell's power histogram is delta_0 + d 1_{H_d}."""
+    modulus = _count_modulus(N, ell)
+    n = modulus.value - 1
+    d = math.gcd(ell, n)
+    powers, eta = _gauss_periods(d, modulus)
+    table = np.full(n + 1, n + 1, dtype=np.complex128)  # S_0 = N; powers fill the rest
+    table[powers] = np.tile(1 + d * eta, n // d)
+    return table
 
 
 def count_power_matches(p: int, q: int, N) -> int:
-    """#{(x, y) in Z_N^2 : x^p = y^q (mod N)}, exact."""
-    Nv = _counting_modulus(N)
-    fp = power_histogram(p, Nv).freq
-    fq = power_histogram(q, Nv).freq
-    return int(fp @ fq)
+    """#{(x, y) in Z_N^2 : x^p = y^q (mod N)} = 1 + (N-1) gcd(d_p, d_q), exact.
+
+    With d_e = gcd(e, N-1), x^p runs d_p times over the d_p-th powers H_{d_p},
+    and |H_{d_p} & H_{d_q}| = (N-1) / lcm(d_p, d_q).
+    """
+    n = _count_modulus(N, p, q).value - 1
+    return 1 + n * math.gcd(p, q, n)
 
 
 def count_trivial(p: int, q: int, r: int, N) -> int:
@@ -129,7 +148,7 @@ def count_trivial(p: int, q: int, r: int, N) -> int:
     the zero coordinate (two zeros force the third) gives 1 + (N-1) *
     (gcd(d_q, d_r) + gcd(d_p, d_r) + [g if -1 is a g-th power]).
     """
-    Nv = _count_modulus(p, q, r, N)
+    Nv = _count_modulus(N, p, q, r).value
     n = Nv - 1
     dp, dq, dr = (math.gcd(e, n) for e in (p, q, r))
     g = math.gcd(dp, dq)
@@ -149,14 +168,15 @@ def count_lower_bound(p: int, q: int, r: int, N) -> float:
     return Nv * Nv - (2 * Nv) ** 1.5 * p * q * r
 
 
-def _discrete_log_table(N: int) -> np.ndarray:
+def _discrete_log_table(modulus: PrimeModulus) -> np.ndarray:
     """ind[g^k mod N] = k (0 <= k < N-1) for a generator g, as int32.
 
     Giant steps g^(m i) times baby steps g^j list g^k, k = m i + j; N < 2^31
     keeps each product below 2^62.  ind[0] is unused.
     """
+    N = modulus.value
     n = N - 1
-    g = find_generator(N)
+    g = find_generator(modulus)
     m = math.isqrt(n - 1) + 1  # m * m >= n
     baby = _powers(g, m, N)
     giant = _powers(pow(g, m, N), -(-n // m), N)
@@ -186,41 +206,51 @@ class SolutionCount:
 def count_solutions_exact(p: int, q: int, r: int, N) -> SolutionCount:
     """Exact #{(x,y,z) : x^p + y^q = z^r (mod N)} plus the trivial split.
 
-    Exact O(N) count from one discrete-log table, no floats (the FFT runs
-    only for --fourier).  With n = N-1, d_e = gcd(e, n), D = lcm(d_p, d_q,
-    d_r), each power histogram is delta_0 + d_e 1_{H_e} (d_e-th powers).
+    Exact O(N) count from one discrete-log table, no floats (the Gauss
+    periods run only for --fourier).  With n = N-1, d_e = gcd(e, n), D =
+    lcm(d_p, d_q, d_r), each power histogram is delta_0 + d_e 1_{H_e} (d_e-th powers).
     The solutions with x*y*z = 0 are count_trivial's closed form, and the
     rest number d_p d_q d_r (n/D) T, where T counts the ratios t = b/a in
     [1, N-2] with gcd(d_p,d_q) | ind t, gcd(d_p,d_r) | ind(1+t) and
     gcd(d_q,d_r) | ind t - ind(1+t); by the generalized CRT each admits
     n/D values of a.  All three gcds 1 give T = N-2 with no table.
     """
-    Nv = _count_modulus(p, q, r, N)
+    modulus = _count_modulus(N, p, q, r)
+    Nv = modulus.value
     n = Nv - 1
     dp, dq, dr = (math.gcd(e, n) for e in (p, q, r))
     gpq, gpr, gqr = math.gcd(dp, dq), math.gcd(dp, dr), math.gcd(dq, dr)
     T = Nv - 2
     if gpq * gpr * gqr > 1:
-        ind = _discrete_log_table(Nv)
+        ind = _discrete_log_table(modulus)
         t, t1 = ind[1:-1], ind[2:]
         admissible = (t % gpq == 0) & (t1 % gpr == 0) & ((t - t1) % gqr == 0)
         T = int(np.count_nonzero(admissible))
     nontrivial = dp * dq * dr * (n // math.lcm(dp, dq, dr)) * T
-    trivial = count_trivial(p, q, r, Nv)
+    trivial = count_trivial(p, q, r, modulus)
     return SolutionCount(p, q, r, Nv, trivial + nontrivial, trivial, nontrivial)
 
 
 def count_solutions_fourier(p: int, q: int, r: int, N) -> float:
-    """Fourier-side count N^2 + (1/N) sum_{k>=1} S_k(p) S_k(q) conj(S_k(r))."""
-    Nv = _counting_modulus(N)
-    sums = {e: exp_sum_table(e, Nv)[1:] for e in {p, q, r}}  # one FFT per exponent
-    tail = np.sum(sums[p] * sums[q] * np.conj(sums[r]))
+    """Fourier-side count N^2 + (1/N) sum_{k>=1} S_k(p) S_k(q) conj(S_k(r)).
+
+    S_{g^j}(ell) = 1 + d eta_d[j mod d] depends on j only mod D = lcm(d_p,
+    d_q, d_r), so the sum over k = g^j is (N-1)/D times the sum over j < D.
+    """
+    modulus = _count_modulus(N, p, q, r)
+    Nv = modulus.value
+    ds = [math.gcd(e, Nv - 1) for e in (p, q, r)]
+    D = math.lcm(*ds)
+    _, eta = _gauss_periods(D, modulus)
+    # eta_d is the fold of eta mod d; S_{g^j} for j < D tiles 1 + d eta_d
+    sp, sq, sr = (1 + d * np.tile(eta.reshape(-1, d).sum(axis=0), D // d) for d in ds)
+    tail = (Nv - 1) // D * np.sum(sp * sq * np.conj(sr))
     return float(Nv * Nv + tail.real / Nv)
 
 
 def count_solutions_bruteforce(p: int, q: int, r: int, N) -> int:
     """Reference O(N^3) triple loop; for cross-checks at tiny N only."""
-    Nv = _count_modulus(p, q, r, N)
+    Nv = _count_modulus(N, p, q, r).value
     xp = [pow(x, p, Nv) for x in range(Nv)]
     yq = [pow(y, q, Nv) for y in range(Nv)]
     zr = [pow(z, r, Nv) for z in range(Nv)]
@@ -307,7 +337,7 @@ def verify_bound_chain(ctx: BSContext) -> BoundChainReport:
     if not isinstance(ctx, BSContext):
         raise InvalidContext("verify_bound_chain needs a BSContext")
     p, q, r, N = ctx.p, ctx.q, ctx.r, ctx.N
-    counts = count_solutions_exact(p, q, r, N)
+    counts = count_solutions_exact(p, q, r, ctx.modulus)
     M = counts.total
     lower = count_lower_bound(p, q, r, N)
     tub = trivial_upper_bound(p, q, r, N)

@@ -138,28 +138,23 @@ class Ciphertext:
 
     @classmethod
     def from_text(cls, text: str) -> "Ciphertext":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("BSCT v1 "):
+        """Parse to_text's output; any other text raises SchemeMismatch."""
+        lines = text.splitlines()
+        if not lines or not lines[0].startswith("BSCT v1 scheme="):
             raise SchemeMismatch("not a BSCT v1 ciphertext")
-        fields = [f.partition("=") for f in lines[0].split()[2:]]
-        if not all(sep for _, sep, _ in fields):
-            raise SchemeMismatch("header field without '='")
-        header = {key: value for key, _, value in fields}
-        scheme = header.get("scheme", "")
+        scheme = lines[0].split(" ")[2].removeprefix("scheme=")
+        width = 3 if scheme == "III" else 2  # scheme III adds the context index
         try:
-            count = parse_decimal(header.get("blocks", "-1"))
             rows = [tuple(map(parse_decimal, ln.split(" "))) for ln in lines[1:]]
         except ValueError:
-            raise SchemeMismatch("non-canonical blocks= or pair token") from None
-        if count != len(rows):
-            raise SchemeMismatch(f"expected {count} blocks, found {len(rows)}")
-        if any(len(row) not in (2, 3) for row in rows):
-            raise SchemeMismatch("a pair line needs 2 or 3 integers")
-        pairs = tuple(row[:2] for row in rows)
-        indices = tuple(row[2] for row in rows if len(row) == 3)
-        if indices and len(indices) != len(pairs):
-            raise SchemeMismatch("context indices missing on some blocks")
-        return cls(scheme, pairs, indices or None)
+            raise SchemeMismatch("non-canonical pair token") from None
+        if any(len(row) != width for row in rows):
+            raise SchemeMismatch(f"a scheme {scheme} pair line needs {width} integers")
+        indices = tuple(row[2] for row in rows) if width == 3 else None
+        ct = cls(scheme, tuple(row[:2] for row in rows), indices)
+        if ct.to_text() != text:
+            raise SchemeMismatch("header, block count or layout is not canonical")
+        return ct
 
 
 def _encrypt_blocks(msg: bytes, ctx: BSContext, rng: random.Random) -> list[tuple[int, int]]:

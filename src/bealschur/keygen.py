@@ -213,8 +213,9 @@ def parse_decimal(token: str) -> int:
 
 
 def parse_key(text: str) -> KeyHalf:
-    """Parse a BSKEY v1 file; structural errors raise MalformedKeyFile."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    """Parse a BSKEY v1 file as serialize_fields writes it, fields in canonical
+    order; any other text raises MalformedKeyFile."""
+    lines = text.splitlines()
     if not lines:
         raise MalformedKeyFile("empty key file")
     header = lines[0].split()
@@ -242,6 +243,8 @@ def parse_key(text: str) -> KeyHalf:
         except ValueError:
             raise MalformedKeyFile(f"non-canonical integer value in {ln!r}")
     _validate_field_set(scheme, role, fields)
+    if serialize_fields(scheme, role, fields) != text:
+        raise MalformedKeyFile("spacing or line ends differ from the canonical file")
     return KeyHalf(scheme=scheme, role=role, fields=fields)
 
 
@@ -256,18 +259,15 @@ def _validate_field_set(scheme: str, role: str, fields: dict[str, int]):
             raise MalformedKeyFile(
                 f"scheme III {role} with n={n} has {len(fields)} fields"
             )
-        want = {"n"} | {f"{name}{i}" for i in range(1, n + 1) for name in names}
-        if set(fields) != want:
+        want = ("n", *(f"{name}{i}" for i in range(1, n + 1) for name in names))
+        if tuple(fields) != want:
             raise MalformedKeyFile(
-                f"scheme III {role} fields {sorted(fields)} != {sorted(want)}"
+                f"scheme III {role} fields {list(fields)} != {list(want)}"
             )
         return
-    if not any(
-        set(fields) == set(_field_order(scheme, role, literal))
-        for literal in (False, True)
-    ):
+    if tuple(fields) not in (_field_order(scheme, role, lit) for lit in (False, True)):
         raise MalformedKeyFile(
-            f"scheme {scheme} {role} fields {sorted(fields)} not recognized"
+            f"scheme {scheme} {role} fields {list(fields)} not in the canonical order"
         )
 
 

@@ -1,10 +1,10 @@
 """Shared fixtures and independent oracles used across the suite.
 
 The helpers here deliberately avoid the library's own code paths: sieve
-primality, exhaustive power enumeration, the FFT convolution of enumerated
-power histograms, the O(N^3) triple loop and a frozen Adleman-Manders-Miller
-root extraction (Euler criterion throughout) serve as ground truth for the
-fast implementations.
+primality, exhaustive power enumeration, the FFT convolution and FFT
+exponential sums of enumerated power histograms, the O(N^3) triple loop and
+a frozen Adleman-Manders-Miller root extraction (Euler criterion throughout)
+serve as ground truth for the fast implementations.
 """
 
 import math
@@ -90,6 +90,15 @@ def _cyclic_convolution(fp, fq, N):
     conv = np.rint(approx).astype(np.int64)
     assert np.max(np.abs(approx - conv)) <= 1e-3, "rounding margin exceeded"
     return conv
+
+
+def fft_exp_sum_table(ell, N):
+    """All N exponential sums S_k(ell) by one FFT of the enumerated histogram.
+
+    The oracle for the Gauss-period tables: the library evaluates no FFT.
+    """
+    # fft uses kernel exp(-2 pi i k a / N); conjugate flips the sign
+    return np.conj(np.fft.fft(enumerated_histogram(ell, N).astype(np.float64)))
 
 
 def brute_force_witness(p, q, r, N):

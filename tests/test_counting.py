@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from bealschur import counting, modmath
 from bealschur.counting import (
     count_lower_bound,
     count_power_matches,
@@ -18,6 +19,7 @@ from bealschur.counting import (
     verify_bound_chain,
 )
 from bealschur.errors import NotPrime
+from bealschur.modmath import PrimeModulus
 from bealschur.triplets import BSContext, is_bs_triplet
 
 from conftest import (
@@ -25,11 +27,13 @@ from conftest import (
     brute_force_count,
     brute_force_witness,
     enumerated_histogram,
+    fft_exp_sum_table,
     sieve_primes,
 )
 
 PRIMES_31 = sieve_primes(31)
 PRIMES_101 = sieve_primes(101)
+PRIMES_499 = sieve_primes(499)
 
 
 class TestPowerHistogram:
@@ -96,6 +100,12 @@ class TestExpSum:
                 table = exp_sum_table(ell, N)
                 for k in range(N):
                     assert table[k] == pytest.approx(exp_sum(k, ell, N).value, abs=1e-7)
+
+    def test_table_matches_fft_oracle(self):
+        for N in PRIMES_499:
+            for ell in (1, 2, 3, 4, 6, N - 1):
+                got, want = exp_sum_table(ell, N), fft_exp_sum_table(ell, N)
+                assert np.max(np.abs(got - want)) < 1e-7, (ell, N)
 
     def test_orthogonality(self):
         # sum over k of e^(2 pi i k w / N) is N at w = 0 mod N, else cancels
@@ -175,6 +185,45 @@ class TestFourierCount:
                 assert round(fourier) == exact
                 assert abs(fourier - exact) < 1e-3
 
+    def test_matches_identity_on_oracle_tables(self):
+        # the criterion-3 grid, with every S_k from the FFT oracle
+        exponents = (1, 2, 3, 4, 6)
+        for N in PRIMES_101:
+            tables = {e: fft_exp_sum_table(e, N)[1:] for e in exponents}
+            for p in exponents:
+                for q in exponents:
+                    for r in exponents:
+                        tail = np.sum(tables[p] * tables[q] * np.conj(tables[r]))
+                        want = N * N + tail.real / N
+                        got = count_solutions_fourier(p, q, r, N)
+                        assert abs(got - want) < 1e-6, (p, q, r, N)
+
+    @pytest.mark.parametrize(
+        # r = N-1 makes D = lcm(d_p, d_q, d_r) = N-1 and H_r = {1};
+        # (3, 3, 3, 1000033) is the count --fourier benchmark rung
+        "p, q, r, N", [(5, 10, 131100, 131101), (2, 2, 4098, 4099), (3, 3, 3, 1000033)]
+    )
+    def test_rounds_to_exact_at_large_moduli(self, p, q, r, N):
+        exact = count_solutions_exact(p, q, r, N).total
+        fourier = count_solutions_fourier(p, q, r, N)
+        assert round(fourier) == exact
+        assert abs(fourier - exact) < 1e-2
+
+    def test_runs_no_histogram_or_fft(self, monkeypatch):
+        class NoFFT:
+            def __getattr__(self, name):
+                raise AssertionError(f"np.fft.{name} called")
+
+        def refuse(*args):
+            raise AssertionError("power histogram built")
+
+        monkeypatch.setattr(counting.np, "fft", NoFFT())
+        monkeypatch.setattr(counting, "power_histogram", refuse)
+        fourier = count_solutions_fourier(2, 4, 8, 131101)
+        table = exp_sum_table(3, 131101)
+        assert round(fourier) == count_solutions_exact(2, 4, 8, 131101).total
+        assert table[0] == 131101 and table.shape == (131101,)
+
 
 class TestTrivialCount:
     def test_linear_case(self):
@@ -249,6 +298,14 @@ class TestPowerMatches:
                     rhs = N * count_power_matches(p, q, N)
                     assert abs(lhs - rhs) < 1e-3, (p, q, N)
 
+    def test_closed_form_matches_histograms(self):
+        for N in PRIMES_101:
+            hists = {e: enumerated_histogram(e, N) for e in range(1, 13)}
+            for p in hists:
+                for q in hists:
+                    want = int(hists[p] @ hists[q])
+                    assert count_power_matches(p, q, N) == want, (p, q, N)
+
     def test_divisible_pair_bound(self):
         # A_{p,q} <= 1 + min(p, q) (N - 1) whenever p | q or q | p
         for N in PRIMES_101:
@@ -289,6 +346,51 @@ class TestConvolutionPaths:
         # the exact count must still satisfy the Fourier cross-check
         counts = count_solutions_exact(2, 4, 8, 131101)
         assert abs(counts.fourier - counts.total) < 0.5
+
+
+N_CERT = 131101  # factorize(N-1) also certifies the cofactor 23
+COUNT_CALLS = {
+    "count_solutions_exact": lambda N: count_solutions_exact(2, 4, 8, N),
+    "count_solutions_fourier": lambda N: count_solutions_fourier(2, 4, 8, N),
+    "count_trivial": lambda N: count_trivial(2, 4, 8, N),
+    "count_power_matches": lambda N: count_power_matches(2, 4, N),
+    "exp_sum_table": lambda N: exp_sum_table(3, N),
+    "exp_sum": lambda N: exp_sum(5, 3, N),
+    "power_histogram": lambda N: power_histogram(3, N),
+}
+
+
+class TestCertifyOnce:
+    """A counting call certifies an int modulus once and a PrimeModulus never."""
+
+    MODULUS = PrimeModulus(N_CERT)
+    CONTEXT = BSContext.create(2, 4, 8, N_CERT)
+
+    @pytest.fixture
+    def certified(self, monkeypatch):
+        seen = []
+        real = modmath.is_probable_prime
+
+        def counted(n, *args, **kwargs):
+            seen.append(n)
+            return real(n, *args, **kwargs)
+
+        monkeypatch.setattr(modmath, "is_probable_prime", counted)
+        return seen
+
+    @pytest.mark.parametrize("call", COUNT_CALLS.values(), ids=COUNT_CALLS)
+    def test_int_modulus_certified_once(self, certified, call):
+        call(N_CERT)
+        assert certified.count(N_CERT) == 1
+
+    @pytest.mark.parametrize("call", COUNT_CALLS.values(), ids=COUNT_CALLS)
+    def test_prime_modulus_not_recertified(self, certified, call):
+        call(self.MODULUS)
+        assert certified.count(N_CERT) == 0
+
+    def test_bound_chain_not_recertified(self, certified):
+        assert verify_bound_chain(self.CONTEXT).all_passed
+        assert certified.count(N_CERT) == 0
 
 
 class TestBoundChain:

@@ -421,6 +421,29 @@ class TestCiphertextFormat:
         with pytest.raises(SchemeMismatch):
             Ciphertext.from_text(text)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "BSCT v1 blocks=1 scheme=I blocks=1 junk=x\n\n5 6\n",
+            "BSCT v1 scheme=I blocks=1\n\n5 6\n",
+            "BSCT v1 scheme=I blocks=1\n5 6 9\n",
+            "BSCT v1 scheme=III blocks=1\n5 6\n",
+            "BSCT v1 scheme=I blocks=1\n5 6",
+        ],
+        ids=["header-fields", "blank-line", "scheme1-index", "scheme3-no-index", "no-final-newline"],
+    )
+    def test_non_canonical_layout_rejected(self, text):
+        assert Ciphertext.from_text("BSCT v1 scheme=I blocks=1\n5 6\n").pairs == ((5, 6),)
+        with pytest.raises(SchemeMismatch):
+            Ciphertext.from_text(text)
+
+    def test_empty_scheme3_text_roundtrip_decrypts(self, rng):
+        split = ([2], [1, 3])
+        ct = encrypt_III(b"", [0, 0, 0], CONTEXTS_III, split, rng)
+        parsed = Ciphertext.from_text(ct.to_text())
+        assert parsed == ct
+        assert decrypt_III(parsed, CONTEXTS_III, split) == b""
+
     @pytest.mark.parametrize("spelling", NON_CANONICAL.values(), ids=NON_CANONICAL)
     def test_non_canonical_token_rejected(self, spelling):
         text = encrypt_I(b"ab", *KEYS_I, random.Random(0)).to_text()

@@ -20,6 +20,7 @@ from bealschur.keygen import (
     parse_key,
     sample_indiscernible_prime,
     sample_intra_divisible_triplet,
+    serialize_fields,
     serialize_key,
 )
 from bealschur.triplets import is_bs_triplet, is_indiscernible, is_intra_divisible
@@ -188,6 +189,32 @@ class TestSerialization:
             parse_key("BSKEY v1 PUBLIC scheme=KG1\np=2\nq=2\nend\n")
         with pytest.raises(MalformedKeyFile, match="duplicate"):
             parse_key("BSKEY v1 PUBLIC scheme=KG1\nN=11\nz=3\nz=4\nend\n")
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            ("N=4732703\nz=2822420\n", "z=2822420\nN=4732703\n"),
+            ("\nz=", "\n\nz="),
+            ("z=2822420", "  z=2822420 "),
+            ("KG1\n", "KG1 \n"),
+            ("end\n", "end"),
+        ],
+        ids=["field-order", "blank-line", "padded-line", "padded-header", "no-final-newline"],
+    )
+    def test_non_canonical_layout_rejected(self, old, new):
+        text = (DATA / "kg1_seed4242.pub").read_text()
+        assert parse_key(text).fields == {"N": 4732703, "z": 2822420}
+        assert old in text
+        with pytest.raises(MalformedKeyFile):
+            parse_key(text.replace(old, new))
+
+    def test_scheme3_field_order_checked(self):
+        groups = [{f"p{i}": 2, f"q{i}": 4, f"r{i}": 8} for i in (1, 2)]
+        canonical = serialize_fields("III", "PUBLIC", {"n": 2, **groups[0], **groups[1]})
+        assert parse_key(canonical).fields["r2"] == 8
+        for fields in ({**groups[1], "n": 2, **groups[0]}, {"n": 2, **groups[1], **groups[0]}):
+            with pytest.raises(MalformedKeyFile):
+                parse_key(serialize_fields("III", "PUBLIC", fields))
 
     @pytest.mark.parametrize("spelling", NON_CANONICAL.values(), ids=NON_CANONICAL)
     def test_non_canonical_token_rejected(self, spelling):

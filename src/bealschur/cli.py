@@ -2,7 +2,7 @@
 
 Subcommands: keygen, encrypt, decrypt, verify, count, sums, root.
 Exit codes: 0 success, 1 failed verification, 2 usage error,
-3 domain error or file failure (named error printed to stderr).
+3 domain error, file failure or out of memory (named error printed to stderr).
 
 Every randomized subcommand accepts --seed; identical argv plus identical
 seed reproduces stdout and all output files byte for byte.
@@ -228,6 +228,9 @@ def run(argv) -> int:
         return args.handler(args)
     except BealSchurError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except MemoryError as exc:  # a modulus whose O(N) tables do not fit in memory
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,9 +6,10 @@ power-match count are closed forms.  A Fourier-side evaluation through the
 exponential sums S_k(ell) = sum_x exp(2 pi i k x^ell / N), which for k != 0
 are Gauss periods of one O(N) pass over a generator's powers, is a floating
 cross-check that runs only when SolutionCount.fourier is read
-(``count --fourier``).  verify_bound_chain evaluates the full inequality
-chain that forces a nontrivial solution once N exceeds 32 p^2 q^2 r^2,
-and finds a witness.
+(``count --fourier``).  The discrete-log table, the power histograms and
+the Gauss periods all index one list of a generator's powers g^k, k < N-1.
+verify_bound_chain evaluates the full inequality chain that forces a
+nontrivial solution once N exceeds 32 p^2 q^2 r^2, and finds a witness.
 
 Desk scale by design: moduli must fit in 31 bits so int64 vector math
 stays exact.
@@ -34,7 +35,10 @@ from .triplets import BSContext, BSTriplet, Residue
 _MAX_COUNTING_MODULUS = 1 << 31
 
 
-def _counting_modulus(N) -> PrimeModulus:
+def _count_modulus(N, *exponents: int) -> PrimeModulus:
+    """The certified modulus below 2^31, after requiring every exponent >= 1."""
+    if any(e < 1 for e in exponents):
+        raise ValueError("exponents must be positive")
     modulus = as_prime_modulus(N)
     if modulus.value >= _MAX_COUNTING_MODULUS:
         raise ValueError(
@@ -43,19 +47,26 @@ def _counting_modulus(N) -> PrimeModulus:
     return modulus
 
 
-def _count_modulus(N, *exponents: int) -> PrimeModulus:
-    """The certified modulus of a count, after requiring every exponent >= 1."""
-    if min(exponents) < 1:
-        raise ValueError("exponents must be positive")
-    return _counting_modulus(N)
-
-
 def _powers(a: int, count: int, N: int) -> np.ndarray:
     """[a^0, a^1, ..., a^(count-1)] mod N, doubling the list each step."""
     out = np.ones(1, dtype=np.int64)
     while out.size < count:
         out = np.concatenate((out, out * pow(a, out.size, N) % N))
     return out[:count]
+
+
+def _generator_powers(modulus: PrimeModulus) -> np.ndarray:
+    """[g^0, g^1, ..., g^(N-2)] mod N for a generator g, as int64.
+
+    Giant steps g^(m i) times baby steps g^j give g^(m i + j); N < 2^31 keeps
+    each product below 2^62, and the in-place reduction keeps one N-sized array.
+    """
+    N = modulus.value
+    g = find_generator(modulus)
+    m = math.isqrt(N - 2) + 1  # m * m >= N - 1
+    prod = _powers(pow(g, m, N), m, N)[:, None] * _powers(g, m, N)
+    prod %= N
+    return prod.ravel()[: N - 1]
 
 
 @dataclass(frozen=True)
@@ -73,18 +84,16 @@ class PowerHistogram:
 
 
 def power_histogram(ell: int, N) -> PowerHistogram:
-    """Frequency table of x -> x^ell mod N, in O(N/d) steps.
+    """Frequency table of x -> x^ell mod N, in O(N) steps.
 
     With d = gcd(ell, N-1), the nonzero ell-th powers are the (N-1)/d
-    powers of g^d for a generator g, each attained d times; 0 maps to 0.
+    powers g^(d k) of a generator g, each attained d times; 0 maps to 0.
     """
-    if ell < 1:
-        raise ValueError("ell must be positive")
-    modulus = _counting_modulus(N)
+    modulus = _count_modulus(N, ell)
     Nv = modulus.value
     d = math.gcd(ell, Nv - 1)
     freq = np.zeros(Nv, dtype=np.int64)
-    freq[_powers(pow(find_generator(modulus), d, Nv), (Nv - 1) // d, Nv)] = d
+    freq[_generator_powers(modulus)[::d]] = d
     freq[0] = 1
     return PowerHistogram(ell=ell, modulus=Nv, freq=freq)
 
@@ -101,7 +110,7 @@ class ExpSum:
 
 def exp_sum(k: int, ell: int, N) -> ExpSum:
     """One exponential sum, evaluated termwise from the power histogram."""
-    modulus = _counting_modulus(N)
+    modulus = _count_modulus(N)
     Nv = modulus.value
     if not 0 <= k < Nv:
         raise ValueError(f"k must lie in [0, {Nv - 1}]")
@@ -113,9 +122,8 @@ def exp_sum(k: int, ell: int, N) -> ExpSum:
 def _gauss_periods(D: int, modulus: PrimeModulus) -> tuple[np.ndarray, np.ndarray]:
     """powers[m] = g^m mod N (m < N-1) for a generator g, and the Gauss
     periods eta[j] = sum_{m = j (mod D)} exp(2 pi i g^m / N), j < D, D | N-1."""
-    Nv = modulus.value
-    powers = _powers(find_generator(modulus), Nv - 1, Nv)
-    return powers, np.exp((2j * math.pi / Nv) * powers).reshape(-1, D).sum(axis=0)
+    powers = _generator_powers(modulus)
+    return powers, np.exp((2j * math.pi / modulus.value) * powers).reshape(-1, D).sum(axis=0)
 
 
 def exp_sum_table(ell: int, N) -> np.ndarray:
@@ -168,23 +176,6 @@ def count_lower_bound(p: int, q: int, r: int, N) -> float:
     return Nv * Nv - (2 * Nv) ** 1.5 * p * q * r
 
 
-def _discrete_log_table(modulus: PrimeModulus) -> np.ndarray:
-    """ind[g^k mod N] = k (0 <= k < N-1) for a generator g, as int32.
-
-    Giant steps g^(m i) times baby steps g^j list g^k, k = m i + j; N < 2^31
-    keeps each product below 2^62.  ind[0] is unused.
-    """
-    N = modulus.value
-    n = N - 1
-    g = find_generator(modulus)
-    m = math.isqrt(n - 1) + 1  # m * m >= n
-    baby = _powers(g, m, N)
-    giant = _powers(pow(g, m, N), -(-n // m), N)
-    ind = np.zeros(N, dtype=np.int32)
-    ind[(giant[:, None] * baby % N).ravel()[:n]] = np.arange(n, dtype=np.int32)
-    return ind
-
-
 @dataclass(frozen=True)
 class SolutionCount:
     """Exact count of solutions of x^p + y^q = z^r (mod N) and its trivial split."""
@@ -192,15 +183,19 @@ class SolutionCount:
     p: int
     q: int
     r: int
-    N: int
+    modulus: PrimeModulus
     total: int
     trivial: int
     nontrivial: int
 
     @property
+    def N(self) -> int:
+        return self.modulus.value
+
+    @property
     def fourier(self) -> float:
         """The Fourier-side cross-check of total, evaluated on each read."""
-        return count_solutions_fourier(self.p, self.q, self.r, self.N)
+        return count_solutions_fourier(self.p, self.q, self.r, self.modulus)
 
 
 def count_solutions_exact(p: int, q: int, r: int, N) -> SolutionCount:
@@ -222,13 +217,14 @@ def count_solutions_exact(p: int, q: int, r: int, N) -> SolutionCount:
     gpq, gpr, gqr = math.gcd(dp, dq), math.gcd(dp, dr), math.gcd(dq, dr)
     T = Nv - 2
     if gpq * gpr * gqr > 1:
-        ind = _discrete_log_table(modulus)
+        ind = np.zeros(Nv, dtype=np.int32)  # ind[g^k] = k; ind[0] is unused
+        ind[_generator_powers(modulus)] = np.arange(n, dtype=np.int32)
         t, t1 = ind[1:-1], ind[2:]
         admissible = (t % gpq == 0) & (t1 % gpr == 0) & ((t - t1) % gqr == 0)
         T = int(np.count_nonzero(admissible))
     nontrivial = dp * dq * dr * (n // math.lcm(dp, dq, dr)) * T
     trivial = count_trivial(p, q, r, modulus)
-    return SolutionCount(p, q, r, Nv, trivial + nontrivial, trivial, nontrivial)
+    return SolutionCount(p, q, r, modulus, trivial + nontrivial, trivial, nontrivial)
 
 
 def count_solutions_fourier(p: int, q: int, r: int, N) -> float:

@@ -34,7 +34,6 @@ from .errors import (
     PartitionMismatch,
     SchemeMismatch,
 )
-from .keygen import parse_decimal
 from .modmath import Residue, all_kth_roots, as_prime_modulus
 from .triplets import BSContext, find_bs_pair
 
@@ -145,15 +144,15 @@ class Ciphertext:
         scheme = lines[0].split(" ")[2].removeprefix("scheme=")
         width = 3 if scheme == "III" else 2  # scheme III adds the context index
         try:
-            rows = [tuple(map(parse_decimal, ln.split(" "))) for ln in lines[1:]]
+            rows = [tuple(map(int, ln.split(" "))) for ln in lines[1:]]
         except ValueError:
-            raise SchemeMismatch("non-canonical pair token") from None
+            raise SchemeMismatch("a pair token is not an integer") from None
         if any(len(row) != width for row in rows):
             raise SchemeMismatch(f"a scheme {scheme} pair line needs {width} integers")
         indices = tuple(row[2] for row in rows) if width == 3 else None
         ct = cls(scheme, tuple(row[:2] for row in rows), indices)
         if ct.to_text() != text:
-            raise SchemeMismatch("header, block count or layout is not canonical")
+            raise SchemeMismatch("not the canonical text of its pairs")
         return ct
 
 

@@ -32,10 +32,9 @@ from .errors import (
     NotIntraDivisible,
     NotPrime,
 )
+from .crypto import MIN_ENCRYPTION_MODULUS
 from .modmath import PrimeModulus, all_kth_roots, as_prime_modulus, is_probable_prime
 from .triplets import BSContext, ExponentTriplet, find_bs_pair, is_bs_triplet
-
-MIN_KEY_MODULUS = 1 << 16
 
 _PRIME_SEARCH_CAP = 100_000
 _TRIPLET_SEARCH_CAP = 1000
@@ -104,7 +103,7 @@ def sample_indiscernible_prime(
     lo_bits, hi_bits = bit_range
     if lo_bits < 2 or hi_bits < lo_bits:
         raise BoundsInfeasible(f"bad bit range {lo_bits}..{hi_bits}")
-    floor = max(triplet.threshold(), MIN_KEY_MODULUS)
+    floor = max(triplet.threshold(), MIN_ENCRYPTION_MODULUS)
     low = max(1 << (lo_bits - 1), floor + 1)
     high = (1 << hi_bits) - 1
     if low > high:
@@ -131,7 +130,7 @@ def _generate(
     hi_bits = bit_range[1]
     for _ in range(_TRIPLET_SEARCH_CAP):
         triplet = sample_intra_divisible_triplet(max_exponent, rng)
-        if max(triplet.threshold(), MIN_KEY_MODULUS) < (1 << hi_bits) - 1:
+        if max(triplet.threshold(), MIN_ENCRYPTION_MODULUS) < (1 << hi_bits) - 1:
             break
     else:
         raise BoundsInfeasible(
@@ -204,47 +203,30 @@ def serialize_fields(scheme: str, role: str, fields: dict[str, int]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_decimal(token: str) -> int:
-    """int(token) for a canonical token, str(int(token)) == token; else ValueError."""
-    value = int(token)
-    if str(value) != token:
-        raise ValueError(f"non-canonical integer {token!r}")
-    return value
-
-
 def parse_key(text: str) -> KeyHalf:
-    """Parse a BSKEY v1 file as serialize_fields writes it, fields in canonical
-    order; any other text raises MalformedKeyFile."""
+    """Parse a BSKEY v1 file; only the exact text serialize_fields writes for
+    its fields is accepted, any other text raises MalformedKeyFile."""
     lines = text.splitlines()
-    if not lines:
-        raise MalformedKeyFile("empty key file")
-    header = lines[0].split()
-    if len(header) != 4 or header[0] != "BSKEY" or header[1] != "v1":
-        raise MalformedKeyFile(f"bad header {lines[0]!r}")
-    role = header[2]
+    header = lines[0].split() if lines else []
+    if len(header) != 4:
+        raise MalformedKeyFile(f"bad header {lines[:1]}")
+    role, scheme = header[2], header[3].removeprefix("scheme=")
     if role not in ("PUBLIC", "PRIVATE"):
         raise MalformedKeyFile(f"bad role {role!r}")
-    if not header[3].startswith("scheme="):
-        raise MalformedKeyFile("missing scheme tag")
-    scheme = header[3].split("=", 1)[1]
     if scheme not in ("KG1", "KG2", "I", "II", "III"):
         raise MalformedKeyFile(f"unknown scheme {scheme!r}")
-    if lines[-1] != "end":
-        raise MalformedKeyFile("missing end marker")
     fields: dict[str, int] = {}
-    for ln in lines[1:-1]:
-        if "=" not in ln:
-            raise MalformedKeyFile(f"bad field line {ln!r}")
-        name, value = ln.split("=", 1)
+    for ln in lines[1:-1]:  # the round trip checks the BSKEY v1 tokens and the end line
+        name, _, value = ln.partition("=")
         if name in fields:
             raise MalformedKeyFile(f"duplicate field {name!r}")
         try:
-            fields[name] = parse_decimal(value)
+            fields[name] = int(value)
         except ValueError:
-            raise MalformedKeyFile(f"non-canonical integer value in {ln!r}")
+            raise MalformedKeyFile(f"bad field line {ln!r}") from None
     _validate_field_set(scheme, role, fields)
     if serialize_fields(scheme, role, fields) != text:
-        raise MalformedKeyFile("spacing or line ends differ from the canonical file")
+        raise MalformedKeyFile("not the canonical text of its fields")
     return KeyHalf(scheme=scheme, role=role, fields=fields)
 
 

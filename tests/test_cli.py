@@ -44,6 +44,22 @@ class TestVerifyCommand:
         assert code == 3
         assert "NotPrime" in err
 
+    def test_out_of_memory_is_domain_error(self, capsys, monkeypatch):
+        class _ArrayMemoryError(MemoryError):  # numpy raises a subclass like this
+            pass
+
+        def refuse(shape, *args, **kwargs):
+            raise _ArrayMemoryError(f"Unable to allocate an array with shape ({shape},)")
+
+        # stands in for the table of a modulus too large for memory, such as 2^31 - 1
+        monkeypatch.setattr(counting.np, "zeros", refuse)
+        code, out, err = invoke(
+            capsys, "verify", "--p", "2", "--q", "2", "--r", "2", "--modulus", "2053"
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "error: MemoryError: Unable to allocate an array with shape (2053,)\n"
+
 
 class TestCountCommand:
     def test_linear_example(self, capsys):

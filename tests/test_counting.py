@@ -351,6 +351,7 @@ class TestConvolutionPaths:
 N_CERT = 131101  # factorize(N-1) also certifies the cofactor 23
 COUNT_CALLS = {
     "count_solutions_exact": lambda N: count_solutions_exact(2, 4, 8, N),
+    "count_solutions_exact.fourier": lambda N: count_solutions_exact(2, 4, 8, N).fourier,
     "count_solutions_fourier": lambda N: count_solutions_fourier(2, 4, 8, N),
     "count_trivial": lambda N: count_trivial(2, 4, 8, N),
     "count_power_matches": lambda N: count_power_matches(2, 4, N),

@@ -242,9 +242,10 @@ class TestSerialization:
     @settings(max_examples=300, deadline=None)
     def test_parse_raises_only_malformed_key_file(self, text):
         try:
-            parse_key(text)
+            h = parse_key(text)
         except MalformedKeyFile:
-            pass
+            return
+        assert serialize_fields(h.scheme, h.role, h.fields) == text
 
     @given(seed=st.integers(0, 2**32), variant=st.sampled_from(["KG1", "KG2", "KG2L"]))
     @settings(max_examples=30, deadline=None)

@@ -123,7 +123,8 @@ def _gauss_periods(D: int, modulus: PrimeModulus) -> tuple[np.ndarray, np.ndarra
     """powers[m] = g^m mod N (m < N-1) for a generator g, and the Gauss
     periods eta[j] = sum_{m = j (mod D)} exp(2 pi i g^m / N), j < D, D | N-1."""
     powers = _generator_powers(modulus)
-    return powers, np.exp((2j * math.pi / modulus.value) * powers).reshape(-1, D).sum(axis=0)
+    phases = (2j * math.pi / modulus.value) * powers
+    return powers, np.exp(phases, out=phases).reshape(-1, D).sum(axis=0)
 
 
 def exp_sum_table(ell: int, N) -> np.ndarray:

@@ -112,7 +112,7 @@ def sample_indiscernible_prime(
         )
     for _ in range(_PRIME_SEARCH_CAP):
         candidate = rng.randrange(low, high + 1) | 1
-        if candidate >= low and is_probable_prime(candidate):
+        if is_probable_prime(candidate):
             return as_prime_modulus(candidate)
     raise BoundsInfeasible(
         f"no prime found in [{low}, {high}] after {_PRIME_SEARCH_CAP} draws"

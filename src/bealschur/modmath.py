@@ -1,9 +1,10 @@
 """Exact modular arithmetic over a prime modulus.
 
 Exponentiation, primality certification, k-th power residue testing and
-k-th root extraction.  One private helper finds a single k-th root for both
-``kth_root_mod`` and ``all_kth_roots``.  With d = gcd(k, N-1), when
-gcd(k, (N-1)/d) = 1 the root is c^e with e = k^-1 mod (N-1)/d, a single
+k-th root extraction.  Primality has one rule, Miller-Rabin on the fixed
+bases 2..41 (``is_probable_prime``).  One private helper finds a single k-th
+root for both ``kth_root_mod`` and ``all_kth_roots``.  With d = gcd(k, N-1),
+when gcd(k, (N-1)/d) = 1 the root is c^e with e = k^-1 mod (N-1)/d, a single
 exponentiation (this covers d = 1 and d = 2 with N = 3 mod 4).  That is the
 root an Adleman-Manders-Miller extraction returns there, so given a
 caller's ``random.Random`` the helper replays the non-residue draws AMM
@@ -24,10 +25,6 @@ import random
 from dataclasses import dataclass
 
 from .errors import ModulusTooSmall, NonResidue, NotPrime
-
-# Below this bound primality is settled by trial division (proven);
-# above it Miller-Rabin is used.
-TRIAL_DIVISION_LIMIT = 10**8
 
 DEFAULT_MR_ROUNDS = 40
 
@@ -64,9 +61,9 @@ class Residue:
 class PrimeModulus:
     """A certified prime.
 
-    ``rounds`` records the Miller-Rabin round count used above the trial
-    division band; below the band the value is proven outright.
-    Construction re-certifies, so an instance is always valid.
+    Below psi_13 the 13 fixed Miller-Rabin bases prove the value prime;
+    from psi_13 on ``rounds`` records the round count of the probable-prime
+    test.  Construction re-certifies, so an instance is always valid.
     """
 
     value: int
@@ -80,8 +77,8 @@ class PrimeModulus:
 
     @property
     def certainty(self) -> str:
-        if self.value < TRIAL_DIVISION_LIMIT:
-            return "proven-by-trial-division"
+        if self.value < _PSI_13:
+            return "proven-by-fixed-bases"
         return f"probable({self.rounds})"
 
     def __int__(self) -> int:
@@ -107,19 +104,6 @@ def mod_pow(base, exponent: int, modulus: int) -> Residue:
     return Residue(pow(int(base), exponent, modulus), modulus)
 
 
-def _trial_division(n: int) -> bool:
-    if n < 4:
-        return n >= 2
-    if n % 2 == 0 or n % 3 == 0:
-        return False
-    f = 5
-    while f * f <= n:
-        if n % f == 0 or n % (f + 2) == 0:
-            return False
-        f += 6
-    return True
-
-
 def _mr_witness(a: int, d: int, s: int, n: int) -> bool:
     """True if a proves n composite."""
     x = pow(a, d, n)
@@ -133,16 +117,13 @@ def _mr_witness(a: int, d: int, s: int, n: int) -> bool:
 
 
 def is_probable_prime(n: int, rounds: int = DEFAULT_MR_ROUNDS) -> bool:
-    """Primality test: trial division below TRIAL_DIVISION_LIMIT, else Miller-Rabin.
+    """Miller-Rabin with the 13 fixed bases 2..41, whatever ``rounds`` is.
 
-    The first min(rounds, 13) Miller-Rabin bases are fixed small primes.
-    All 13 decide primality below psi_13 ~ 3.3e24, so remaining rounds draw
-    random bases only for n >= psi_13.
+    They decide primality for every n < psi_13 ~ 3.3e24; from psi_13 on,
+    rounds - 13 further bases come from a generator seeded by n.
     """
     if n < 2:
         return False
-    if n < TRIAL_DIVISION_LIMIT:
-        return _trial_division(n)
     for p in _MR_FIXED_BASES:
         if n % p == 0:
             return n == p
@@ -150,10 +131,10 @@ def is_probable_prime(n: int, rounds: int = DEFAULT_MR_ROUNDS) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_FIXED_BASES[:rounds]:
+    for a in _MR_FIXED_BASES:
         if _mr_witness(a, d, s, n):
             return False
-    if rounds > len(_MR_FIXED_BASES) and n >= _PSI_13:
+    if n >= _PSI_13:
         rng = random.Random(n ^ _FALLBACK_SEED)
         for _ in range(rounds - len(_MR_FIXED_BASES)):
             if _mr_witness(rng.randrange(2, n - 1), d, s, n):

@@ -318,6 +318,17 @@ class TestEncryptDecryptFiles:
         assert code == 0
         assert out.read_bytes() == msg.read_bytes()
 
+    def test_scheme3_without_partition_is_usage_error(self, capsys, tmp_path):
+        pub, priv = write_scheme3_keys(tmp_path)
+        msg = tmp_path / "m.bin"
+        msg.write_bytes(b"abcd")
+        with pytest.raises(SystemExit) as exc:
+            run(["encrypt", "--scheme", "III", "--pub", str(pub), "--priv", str(priv),
+                 "--in", str(msg), "--out", str(tmp_path / "m.ct")])
+        assert exc.value.code == 2
+        assert "scheme III needs --partition" in capsys.readouterr().err
+        assert not (tmp_path / "m.ct").exists()
+
     def test_negative_partition_is_domain_error(self, capsys, tmp_path):
         pub, priv = write_scheme3_keys(tmp_path)
         msg = tmp_path / "m.bin"

@@ -104,9 +104,9 @@ class TestResidueTypes:
             Residue(0, 1)
 
     def test_prime_modulus_certainty(self):
-        assert as_prime_modulus(2053).certainty == "proven-by-trial-division"
-        big = as_prime_modulus(2**64 + 13)
-        assert big.certainty == "probable(40)"
+        assert as_prime_modulus(2053).certainty == "proven-by-fixed-bases"
+        assert as_prime_modulus(2**64 + 13).certainty == "proven-by-fixed-bases"
+        assert as_prime_modulus(2**89 - 1).certainty == "probable(40)"
         with pytest.raises(NotPrime):
             as_prime_modulus(2051)
 
@@ -127,8 +127,24 @@ class TestPrimality:
         for n in range(2, 3000):
             assert is_probable_prime(n) == trial_division_prime(n), n
 
+    def test_matches_sieve_below_200000(self):
+        primes = set(sieve_primes(200000))
+        for n in range(200000):
+            assert is_probable_prime(n) == (n in primes), n
+
+    def test_odd_sample_near_10_8_matches_trial_division(self):
+        # odd n from 10^7 to just past 10^8, against the trial-division oracle
+        rng = random.Random(2017)
+        for _ in range(300):
+            n = rng.randrange(10**7, 10**8 + 10**6) | 1
+            assert is_probable_prime(n) == trial_division_prime(n), n
+
+    @pytest.mark.parametrize("n", [2047, 1373653, 25326001, 3215031751])
+    def test_small_strong_pseudoprimes_rejected(self, n):
+        # strong pseudoprimes to bases 2; 2, 3; 2, 3, 5; 2, 3, 5, 7
+        assert not is_probable_prime(n)
+
     def test_miller_rabin_band(self):
-        # values above the trial-division cutoff
         assert is_probable_prime(2**64 + 13)
         assert not is_probable_prime(2**64 + 15)
         # strong pseudoprime to several bases, still composite
@@ -147,8 +163,8 @@ class TestPrimality:
         assert not is_probable_prime(psi_13)
 
     def test_certainty_recorded_rounds(self):
-        pm = PrimeModulus(2**64 + 13, rounds=12)
-        assert pm.certainty == "probable(12)"
+        pm = PrimeModulus(2**89 - 1, rounds=20)
+        assert pm.certainty == "probable(20)"
 
 
 def euler_character(a, N):

@@ -1,30 +1,29 @@
 """Counting solutions of x^p + y^q = z^r (mod N) and the bound chain.
 
-The exact count is a closed form plus one O(N) integer count over a
-discrete-log table: no floats.  The trivial count (x*y*z = 0) and the
-power-match count are closed forms.  A Fourier-side evaluation through the
-exponential sums S_k(ell) = sum_x exp(2 pi i k x^ell / N), which for k != 0
-are Gauss periods of one O(N) pass over a generator's powers, is a floating
-cross-check that runs only when SolutionCount.fourier is read
-(``count --fourier``).  The discrete-log table, the power histograms and
-the Gauss periods all index one list of a generator's powers g^k, k < N-1.
-verify_bound_chain evaluates the full inequality chain that forces a
-nontrivial solution once N exceeds 32 p^2 q^2 r^2, and finds a witness.
-
-Desk scale by design: moduli must fit in 31 bits so int64 vector math
-stays exact.
+Every count is exact integer arithmetic.  The trivial and power-match counts,
+and the nontrivial count where at most one pairwise gcd of the exponents
+exceeds 1 or their lcm is at most 4, are closed forms at any modulus; other
+gcd patterns count over a discrete-log table.  A Fourier-side evaluation
+through the exponential sums S_k(ell) = sum_x exp(2 pi i k x^ell / N), which
+for k != 0 are Gauss periods of one O(N) pass over a generator's powers, is a
+floating cross-check that runs only when SolutionCount.fourier is read
+(``count --fourier``).  The table, the power histograms and the Gauss periods
+index one list of a generator's powers g^k, k < N-1: N-sized arrays, which
+alone use numpy and need N < 2^31.  verify_bound_chain evaluates the chain
+that forces a nontrivial solution once N > 32 p^2 q^2 r^2, and finds a witness.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .errors import InvalidContext
+from .errors import InvalidContext, ModulusTooLarge
 from .modmath import (
     PrimeModulus,
+    _jacobi,
     all_kth_roots,
     as_prime_modulus,
     find_generator,
@@ -32,23 +31,28 @@ from .modmath import (
 )
 from .triplets import BSContext, BSTriplet, Residue
 
-_MAX_COUNTING_MODULUS = 1 << 31
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _count_modulus(N, *exponents: int) -> PrimeModulus:
-    """The certified modulus below 2^31, after requiring every exponent >= 1."""
+    """The certified modulus, after requiring every exponent >= 1."""
     if any(e < 1 for e in exponents):
         raise ValueError("exponents must be positive")
-    modulus = as_prime_modulus(N)
-    if modulus.value >= _MAX_COUNTING_MODULUS:
-        raise ValueError(
-            f"counting supports moduli below 2^31 (int64 exactness), got {int(N)}"
-        )
+    return as_prime_modulus(N)
+
+
+def _array_modulus(N, *exponents: int) -> PrimeModulus:
+    """_count_modulus for paths that build N-sized arrays: N < 2^31 (int64 exactness)."""
+    modulus = _count_modulus(N, *exponents)
+    if modulus.value >= 1 << 31:
+        raise ModulusTooLarge(f"N-sized arrays need N below 2^31, got {modulus.value}")
     return modulus
 
 
 def _powers(a: int, count: int, N: int) -> np.ndarray:
     """[a^0, a^1, ..., a^(count-1)] mod N, doubling the list each step."""
+    import numpy as np
     out = np.ones(1, dtype=np.int64)
     while out.size < count:
         out = np.concatenate((out, out * pow(a, out.size, N) % N))
@@ -61,6 +65,7 @@ def _generator_powers(modulus: PrimeModulus) -> np.ndarray:
     Giant steps g^(m i) times baby steps g^j give g^(m i + j); N < 2^31 keeps
     each product below 2^62, and the in-place reduction keeps one N-sized array.
     """
+    import numpy as np
     N = modulus.value
     g = find_generator(modulus)
     m = math.isqrt(N - 2) + 1  # m * m >= N - 1
@@ -80,7 +85,7 @@ class PowerHistogram:
     @property
     def nonzero_image_size(self) -> int:
         """|{a^ell : a nonzero}|, the power subgroup size."""
-        return int(np.count_nonzero(self.freq[1:]))
+        return int((self.freq[1:] != 0).sum())
 
 
 def power_histogram(ell: int, N) -> PowerHistogram:
@@ -89,7 +94,8 @@ def power_histogram(ell: int, N) -> PowerHistogram:
     With d = gcd(ell, N-1), the nonzero ell-th powers are the (N-1)/d
     powers g^(d k) of a generator g, each attained d times; 0 maps to 0.
     """
-    modulus = _count_modulus(N, ell)
+    import numpy as np
+    modulus = _array_modulus(N, ell)
     Nv = modulus.value
     d = math.gcd(ell, Nv - 1)
     freq = np.zeros(Nv, dtype=np.int64)
@@ -110,7 +116,8 @@ class ExpSum:
 
 def exp_sum(k: int, ell: int, N) -> ExpSum:
     """One exponential sum, evaluated termwise from the power histogram."""
-    modulus = _count_modulus(N)
+    import numpy as np
+    modulus = _array_modulus(N)
     Nv = modulus.value
     if not 0 <= k < Nv:
         raise ValueError(f"k must lie in [0, {Nv - 1}]")
@@ -122,6 +129,7 @@ def exp_sum(k: int, ell: int, N) -> ExpSum:
 def _gauss_periods(D: int, modulus: PrimeModulus) -> tuple[np.ndarray, np.ndarray]:
     """powers[m] = g^m mod N (m < N-1) for a generator g, and the Gauss
     periods eta[j] = sum_{m = j (mod D)} exp(2 pi i g^m / N), j < D, D | N-1."""
+    import numpy as np
     powers = _generator_powers(modulus)
     phases = (2j * math.pi / modulus.value) * powers
     return powers, np.exp(phases, out=phases).reshape(-1, D).sum(axis=0)
@@ -131,7 +139,8 @@ def exp_sum_table(ell: int, N) -> np.ndarray:
     """All N exponential sums S_k(ell) in O(N): S_0 = N and, from the Gauss
     periods eta_d of a generator g, S_{g^j}(ell) = 1 + d eta_d[j mod d] with
     d = gcd(ell, N-1), since ell's power histogram is delta_0 + d 1_{H_d}."""
-    modulus = _count_modulus(N, ell)
+    import numpy as np
+    modulus = _array_modulus(N, ell)
     n = modulus.value - 1
     d = math.gcd(ell, n)
     powers, eta = _gauss_periods(d, modulus)
@@ -199,26 +208,89 @@ class SolutionCount:
         return count_solutions_fourier(self.p, self.q, self.r, self.modulus)
 
 
+def _cornacchia(d: int, root: int, N: int) -> tuple[int, int]:
+    """(x, y) with x^2 + d y^2 = N, from 0 < root < N with root^2 = -d (Cornacchia)."""
+    a, b = N, root
+    while b * b > N:
+        a, b = b, a % b
+    return b, math.isqrt((N - b * b) // d)
+
+
+def _quartic_a(N: int) -> int:
+    """The odd a = 1 (mod 4) of N = a^2 + b^2, for a prime N = 1 (mod 4)."""
+    c = next(c for c in itertools.count(2) if _jacobi(c, N) == -1)
+    x, y = _cornacchia(1, pow(c, (N - 1) // 4, N), N)  # c^((N-1)/4) squares to -1
+    a = x if x % 2 else y
+    return a if a % 4 == 1 else -a
+
+
+def _cubic_l(N: int) -> int:
+    """The L = 1 (mod 3) of 4N = L^2 + 27 M^2, for a prime N = 1 (mod 3)."""
+    w = next(w for c in itertools.count(2) if (w := pow(c, (N - 1) // 3, N)) != 1)
+    A, B = _cornacchia(3, (2 * w + 1) % N, N)  # w^2 + w + 1 = 0, so (2w + 1)^2 = -3
+    # 4N = (2A)^2 + 12 B^2 = (A + 3B)^2 + 3 (A - B)^2 = (A - 3B)^2 + 3 (A + B)^2
+    L = 2 * A if B % 3 == 0 else A + 3 * B if (A - B) % 3 == 0 else A - 3 * B
+    return L if L % 3 == 1 else -L
+
+
+def _closed_form_T(pattern: tuple[int, int, int], N: int) -> int | None:
+    """count_solutions_exact's T in closed form, or None if the pattern has none here.
+
+    With (A, B, C) = (gcd(d_p,d_q), gcd(d_p,d_r), gcd(d_q,d_r)), T counts t != 0,
+    -1 with t in H_A, 1+t in H_B and t/(1+t) in H_C.  If only m > 1, t runs over
+    H_m less -1, or 1+t or t/(1+t) (a bijection of t != -1 onto u != 1) over H_m
+    less 1.  Else 1_{H_m}(x) = (1/m) sum_{chi^m = 1} chi(x) gives T = (1/ABC)
+    sum K(alpha gamma, beta/gamma) over alpha^A = beta^B = gamma^C = 1, where
+    K(chi, psi) = sum_{t != 0,-1} chi(t) psi(1+t): K(1, 1) = N-2, K(chi, 1) =
+    -chi(-1), K(1, psi) = K(chi, 1/chi) = -1, else chi(-1) J(chi, psi), a
+    Jacobi sum.  Let rho be the quadratic character.  For a quartic chi, with
+    s = chi(-1) (1 iff N = 1 mod 8), J(chi, rho) = s J(chi, chi) and
+    Re J(chi, chi) = -a, for the odd a = 1 (mod 4) of N = a^2 + b^2; for a cubic
+    omega, 2 Re J(omega, omega) = L, the L = 1 (mod 3) of 4N = L^2 + 27 M^2
+    (Berndt, Evans and Williams, Gauss and Jacobi Sums, ch. 2-3).  Collecting
+    terms: (2,2,2) (N-4-rho(-1))/4; (2,2,4), (2,4,2) (N-7-2sa)/8; (4,2,2)
+    (N-5-2s-2a)/8; (4,4,4) (N-9-2s-(2+4s)a)/16; (3,3,3) (N-8+L)/9.
+    """
+    n = N - 1
+    m = math.prod(pattern)
+    if m == pattern[0]:
+        return n // m - (pow(n, n // m, N) == 1)  # minus t = -1 = n if it lies in H_m
+    if m in pattern:
+        return n // m - 1
+    if pattern == (2, 2, 2):
+        return (N - 5) // 4 if N % 4 == 1 else (N - 3) // 4
+    if pattern == (3, 3, 3):
+        return (N - 8 + _cubic_l(N)) // 9
+    if pattern not in ((2, 2, 4), (2, 4, 2), (4, 2, 2), (4, 4, 4)):
+        return None
+    a, s = _quartic_a(N), 1 if N % 8 == 1 else -1
+    if pattern == (4, 4, 4):
+        return (N - 9 - 2 * s - (2 + 4 * s) * a) // 16
+    if pattern == (4, 2, 2):
+        return (N - 5 - 2 * s - 2 * a) // 8
+    return (N - 7 - 2 * s * a) // 8
+
+
 def count_solutions_exact(p: int, q: int, r: int, N) -> SolutionCount:
     """Exact #{(x,y,z) : x^p + y^q = z^r (mod N)} plus the trivial split.
 
-    Exact O(N) count from one discrete-log table, no floats (the Gauss
-    periods run only for --fourier).  With n = N-1, d_e = gcd(e, n), D =
-    lcm(d_p, d_q, d_r), each power histogram is delta_0 + d_e 1_{H_e} (d_e-th powers).
-    The solutions with x*y*z = 0 are count_trivial's closed form, and the
-    rest number d_p d_q d_r (n/D) T, where T counts the ratios t = b/a in
-    [1, N-2] with gcd(d_p,d_q) | ind t, gcd(d_p,d_r) | ind(1+t) and
-    gcd(d_q,d_r) | ind t - ind(1+t); by the generalized CRT each admits
-    n/D values of a.  All three gcds 1 give T = N-2 with no table.
+    With n = N-1, d_e = gcd(e, n), D = lcm(d_p, d_q, d_r), each power histogram
+    is delta_0 + d_e 1_{H_e} (d_e-th powers).  The solutions with x*y*z = 0 are
+    count_trivial's closed form, and the rest number d_p d_q d_r (n/D) T, where
+    T counts the ratios t = b/a in [1, N-2] with gcd(d_p,d_q) | ind t,
+    gcd(d_p,d_r) | ind(1+t) and gcd(d_q,d_r) | ind t - ind(1+t); by the
+    generalized CRT each admits n/D values of a.  T is _closed_form_T's
+    cyclotomic number at any modulus, else an O(N) count over a discrete-log table.
     """
     modulus = _count_modulus(N, p, q, r)
     Nv = modulus.value
     n = Nv - 1
     dp, dq, dr = (math.gcd(e, n) for e in (p, q, r))
     gpq, gpr, gqr = math.gcd(dp, dq), math.gcd(dp, dr), math.gcd(dq, dr)
-    T = Nv - 2
-    if gpq * gpr * gqr > 1:
-        ind = np.zeros(Nv, dtype=np.int32)  # ind[g^k] = k; ind[0] is unused
+    T = _closed_form_T((gpq, gpr, gqr), Nv)
+    if T is None:
+        import numpy as np
+        ind = np.zeros(_array_modulus(modulus).value, dtype=np.int32)  # ind[g^k] = k
         ind[_generator_powers(modulus)] = np.arange(n, dtype=np.int32)
         t, t1 = ind[1:-1], ind[2:]
         admissible = (t % gpq == 0) & (t1 % gpr == 0) & ((t - t1) % gqr == 0)
@@ -234,7 +306,8 @@ def count_solutions_fourier(p: int, q: int, r: int, N) -> float:
     S_{g^j}(ell) = 1 + d eta_d[j mod d] depends on j only mod D = lcm(d_p,
     d_q, d_r), so the sum over k = g^j is (N-1)/D times the sum over j < D.
     """
-    modulus = _count_modulus(N, p, q, r)
+    import numpy as np
+    modulus = _array_modulus(N, p, q, r)
     Nv = modulus.value
     ds = [math.gcd(e, Nv - 1) for e in (p, q, r)]
     D = math.lcm(*ds)
@@ -247,18 +320,11 @@ def count_solutions_fourier(p: int, q: int, r: int, N) -> float:
 
 def count_solutions_bruteforce(p: int, q: int, r: int, N) -> int:
     """Reference O(N^3) triple loop; for cross-checks at tiny N only."""
-    Nv = _count_modulus(N, p, q, r).value
+    Nv = _array_modulus(N, p, q, r).value
     xp = [pow(x, p, Nv) for x in range(Nv)]
     yq = [pow(y, q, Nv) for y in range(Nv)]
     zr = [pow(z, r, Nv) for z in range(Nv)]
-    count = 0
-    for a in xp:
-        for b in yq:
-            c = (a + b) % Nv
-            for d in zr:
-                if c == d:
-                    count += 1
-    return count
+    return sum(zr.count((a + b) % Nv) for a in xp for b in yq)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,10 @@ class ModulusTooSmall(BealSchurError):
     """Modulus below the minimum the operation supports."""
 
 
+class ModulusTooLarge(BealSchurError):
+    """Modulus beyond the reach of an operation that builds N-sized arrays."""
+
+
 class NotPrime(BealSchurError):
     """A value that must be prime failed certification."""
 

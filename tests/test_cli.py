@@ -2,7 +2,9 @@ import contextlib
 import io
 import subprocess
 import sys
+import time
 
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,14 +53,34 @@ class TestVerifyCommand:
         def refuse(shape, *args, **kwargs):
             raise _ArrayMemoryError(f"Unable to allocate an array with shape ({shape},)")
 
-        # stands in for the table of a modulus too large for memory, such as 2^31 - 1
-        monkeypatch.setattr(counting.np, "zeros", refuse)
+        # stands in for the table of a modulus too large for memory, such as 2^31 - 1;
+        # gcd(6, 2052) = 6 has no closed form, so this count builds the table
+        monkeypatch.setattr(numpy, "zeros", refuse)
         code, out, err = invoke(
-            capsys, "verify", "--p", "2", "--q", "2", "--r", "2", "--modulus", "2053"
+            capsys, "count", "--p", "6", "--q", "6", "--r", "6", "--modulus", "2053"
         )
         assert code == 3
         assert out == ""
         assert err == "error: MemoryError: Unable to allocate an array with shape (2053,)\n"
+
+    @pytest.mark.parametrize("p, q, r, N", [(2, 2, 2, PRIME_66_BIT), (2, 4, 8, PRIME_74_BIT)])
+    def test_cryptosystem_moduli(self, capsys, p, q, r, N):
+        # the scheme I and scheme II moduli: closed-form counts, no N-sized array
+        start = time.perf_counter()
+        code, out, err = invoke(
+            capsys, "verify", "--p", str(p), "--q", str(q), "--r", str(r), "--modulus", str(N)
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 0, err
+        *checks, witness = out.splitlines()
+        assert len(checks) == 9 and all(ln.endswith(" pass") for ln in checks)
+        tag, *xyz = witness.split()
+        x, y, z = map(int, xyz)
+        assert tag == "WITNESS" and 0 < min(x, y, z) and max(x, y, z) < N
+        assert (pow(x, p, N) + pow(y, q, N) - pow(z, r, N)) % N == 0
+
+
+ABOVE_2_31 = 2**31 + 11  # prime, and 6 | N - 1
 
 
 class TestCountCommand:
@@ -116,7 +138,7 @@ class TestCountCommand:
         def refuse(*args):
             raise AssertionError("power histogram built without --fourier")
 
-        monkeypatch.setattr(counting.np, "fft", NoFFT())
+        monkeypatch.setattr(numpy, "fft", NoFFT())
         monkeypatch.setattr(counting, "power_histogram", refuse)
         for argv in (
             ("count", "--p", "2", "--q", "3", "--r", "6", "--modulus", "65537"),
@@ -126,6 +148,19 @@ class TestCountCommand:
             code, out, err = invoke(capsys, *argv)
             assert code == 0, err
             assert out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "--p", "2", "--q", "2", "--r", "2", "--fourier"),
+            ("count", "--p", "6", "--q", "6", "--r", "6"),  # no closed form: the table
+            ("sums", "--k", "1", "--ell", "2"),
+        ],
+    )
+    def test_array_paths_above_2_31_are_domain_errors(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv, "--modulus", str(ABOVE_2_31))
+        assert code == 3
+        assert err.startswith("error: ModulusTooLarge: ")
 
     def test_exponent_below_one_is_usage_error(self, capsys):
         code, out, err = invoke(
@@ -574,3 +609,28 @@ class TestSubprocessDeterminism:
                  ct.read_bytes(), kpub.read_bytes(), kpriv.read_bytes())
             )
         assert outputs[0] == outputs[1]
+
+
+def test_numpy_stays_unloaded(tmp_path):
+    """Importing the package, verify with a closed-form count, keygen and
+    scheme I encryption never import numpy."""
+    pub, priv = write_scheme1_keys(tmp_path)
+    (tmp_path / "msg.bin").write_bytes(b"no arrays here")
+    script = f"""
+import sys
+import bealschur, bealschur.cli
+from bealschur.cli import run
+d = {str(tmp_path)!r} + "/"
+assert run(["verify", "--p", "2", "--q", "4", "--r", "8", "--modulus", "131101"]) == 0
+assert run(["keygen", "--scheme", "kg1", "--max-exp", "4", "--prime-bits", "18..24",
+            "--seed", "0", "--out-pub", d + "k.pub", "--out-priv", d + "k.priv"]) == 0
+keys = ["--scheme", "I", "--pub", {str(pub)!r}, "--priv", {str(priv)!r}]
+assert run(["encrypt", *keys, "--in", d + "msg.bin", "--out", d + "ct", "--seed", "0"]) == 0
+assert run(["decrypt", *keys, "--in", d + "ct", "--out", d + "msg.out"]) == 0
+assert "numpy" not in sys.modules, "numpy was imported"
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path
+    )
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "msg.out").read_bytes() == b"no arrays here"

@@ -18,7 +18,7 @@ from bealschur.counting import (
     trivial_upper_bound,
     verify_bound_chain,
 )
-from bealschur.errors import NotPrime
+from bealschur.errors import ModulusTooLarge, NotPrime
 from bealschur.modmath import PrimeModulus
 from bealschur.triplets import BSContext, is_bs_triplet
 
@@ -217,7 +217,7 @@ class TestFourierCount:
         def refuse(*args):
             raise AssertionError("power histogram built")
 
-        monkeypatch.setattr(counting.np, "fft", NoFFT())
+        monkeypatch.setattr(np, "fft", NoFFT())
         monkeypatch.setattr(counting, "power_histogram", refuse)
         fourier = count_solutions_fourier(2, 4, 8, 131101)
         table = exp_sum_table(3, 131101)
@@ -346,6 +346,89 @@ class TestConvolutionPaths:
         # the exact count must still satisfy the Fourier cross-check
         counts = count_solutions_exact(2, 4, 8, 131101)
         assert abs(counts.fourier - counts.total) < 0.5
+
+
+def _no_array(*args, **kwargs):
+    raise AssertionError("N-sized array built")
+
+
+def _gcd_pattern(p, q, r, N):
+    dp, dq, dr = (math.gcd(e, N - 1) for e in (p, q, r))
+    return math.gcd(dp, dq), math.gcd(dp, dr), math.gcd(dq, dr)
+
+
+ORDER_2_3_4 = {(2, 2, 2), (2, 2, 4), (2, 4, 2), (4, 2, 2), (4, 4, 4), (3, 3, 3)}
+
+
+def _has_closed_form(pattern):
+    return pattern in ORDER_2_3_4 or sorted(pattern)[1] == 1  # at most one gcd > 1
+
+
+class TestClosedForms:
+    def test_grid_matches_fft_oracle(self, monkeypatch):
+        # every prime 5 <= N < 400, p, q in 1..12, r in {1,2,3,4,6,8,12}; the
+        # patterns with a closed form run with np.zeros refused, the rest
+        # exercise the table
+        closed_seen, table_seen = set(), set()
+        for N in sieve_primes(399)[2:]:
+            modulus = PrimeModulus(N)
+            hists = {e: enumerated_histogram(e, N) for e in range(1, 13)}
+            for p in range(1, 13):
+                for q in range(1, 13):
+                    conv = _cyclic_convolution(hists[p], hists[q], N)
+                    for r in (1, 2, 3, 4, 6, 8, 12):
+                        pattern = _gcd_pattern(p, q, r, N)
+                        with monkeypatch.context() as patched:
+                            if _has_closed_form(pattern):
+                                patched.setattr(np, "zeros", _no_array)
+                                closed_seen.add(pattern)
+                            else:
+                                table_seen.add(pattern)
+                            got = count_solutions_exact(p, q, r, modulus).total
+                        assert got == int(conv @ hists[r]), (p, q, r, N)
+        assert ORDER_2_3_4 <= closed_seen
+        for m in (2, 3, 4, 6, 12):
+            assert {(m, 1, 1), (1, m, 1), (1, 1, m)} <= closed_seen, m
+        assert {(2, 2, 8), (6, 6, 6), (12, 12, 12)} <= table_seen
+
+    @pytest.mark.parametrize(
+        "p, q, r, N, total",
+        [
+            (2, 4, 8, 131101, 17226540001),
+            (2, 2, 2, 1000003, 1000006000009),
+            (2, 4, 8, 1000033, 998239942657),
+            (8, 4, 2, 1000033, 998239942657),
+            (4, 4, 4, 1000033, 994587825793),
+            (3, 3, 3, 1000033, 1001363042593),
+            (2, 3, 6, 2000003, 4000012000009),
+        ],
+    )
+    def test_large_counts_build_no_table(self, monkeypatch, p, q, r, N, total):
+        # totals pinned from the discrete-log table
+        monkeypatch.setattr(np, "zeros", _no_array)
+        assert count_solutions_exact(p, q, r, N).total == total
+
+    def test_counts_beyond_2_31(self):
+        N = 2**65 + 131  # the scheme I modulus; N = 3 (mod 4)
+        counts = count_solutions_exact(2, 2, 2, N)
+        assert counts.nontrivial == 8 * (N - 1) // 2 * ((N - 3) // 4)
+        assert counts.trivial == count_trivial(2, 2, 2, N) == 1 + 4 * (N - 1)
+        assert count_power_matches(2, 4, N) == 1 + 2 * (N - 1)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda N: count_solutions_exact(6, 6, 6, N),
+            lambda N: count_solutions_fourier(2, 2, 2, N),
+            lambda N: count_solutions_bruteforce(1, 1, 1, N),
+            lambda N: power_histogram(2, N),
+            lambda N: exp_sum(1, 2, N),
+            lambda N: exp_sum_table(2, N),
+        ],
+    )
+    def test_array_paths_refuse_beyond_2_31(self, call):
+        with pytest.raises(ModulusTooLarge):
+            call(2**31 + 11)  # prime, and 6 | N - 1
 
 
 N_CERT = 131101  # factorize(N-1) also certifies the cofactor 23

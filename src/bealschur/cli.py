@@ -191,15 +191,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    counts = counting.count_solutions_exact(args.p, args.q, args.r, args.modulus)
-    print(f"M={counts.total} trivial={counts.trivial} nontrivial={counts.nontrivial}")
+    """Compute every requested line before printing, so a failure prints nothing."""
+    context = (args.p, args.q, args.r, args.modulus)
+    counts = counting.count_solutions_exact(*context)
+    lines = [f"M={counts.total} trivial={counts.trivial} nontrivial={counts.nontrivial}"]
     if args.fourier:
-        print(f"fourier={counts.fourier:.6f}")
+        lines.append(f"fourier={counts.fourier:.6f}")
     if args.brute:
-        brute = counting.count_solutions_bruteforce(
-            args.p, args.q, args.r, args.modulus
-        )
-        print(f"brute={brute}")
+        lines.append(f"brute={counting.count_solutions_bruteforce(*context)}")
+    print("\n".join(lines))
     return EXIT_OK
 
 

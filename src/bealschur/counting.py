@@ -15,7 +15,6 @@ that forces a nontrivial solution once N > 32 p^2 q^2 r^2, and finds a witness.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -23,7 +22,8 @@ from typing import TYPE_CHECKING
 from .errors import InvalidContext, ModulusTooLarge
 from .modmath import (
     PrimeModulus,
-    _jacobi,
+    _is_power,
+    _unity,
     all_kth_roots,
     as_prime_modulus,
     find_generator,
@@ -170,7 +170,7 @@ def count_trivial(p: int, q: int, r: int, N) -> int:
     n = Nv - 1
     dp, dq, dr = (math.gcd(e, n) for e in (p, q, r))
     g = math.gcd(dp, dq)
-    z_zero = g if pow(n, n // g, Nv) == 1 else 0  # n = -1 (mod N)
+    z_zero = g if _is_power(n, g, Nv) else 0  # n = -1 (mod N)
     return 1 + (math.gcd(dq, dr) + math.gcd(dp, dr) + z_zero) * n
 
 
@@ -217,16 +217,17 @@ def _cornacchia(d: int, root: int, N: int) -> tuple[int, int]:
 
 
 def _quartic_a(N: int) -> int:
-    """The odd a = 1 (mod 4) of N = a^2 + b^2, for a prime N = 1 (mod 4)."""
-    c = next(c for c in itertools.count(2) if _jacobi(c, N) == -1)
-    x, y = _cornacchia(1, pow(c, (N - 1) // 4, N), N)  # c^((N-1)/4) squares to -1
+    """The odd a = 1 (mod 4) of N = a^2 + b^2, for a prime N = 1 (mod 4),
+    by Cornacchia from the element of order 4 that modmath._unity finds."""
+    x, y = _cornacchia(1, _unity(4, N), N)  # an element of order 4 squares to -1
     a = x if x % 2 else y
     return a if a % 4 == 1 else -a
 
 
 def _cubic_l(N: int) -> int:
-    """The L = 1 (mod 3) of 4N = L^2 + 27 M^2, for a prime N = 1 (mod 3)."""
-    w = next(w for c in itertools.count(2) if (w := pow(c, (N - 1) // 3, N)) != 1)
+    """The L = 1 (mod 3) of 4N = L^2 + 27 M^2, for a prime N = 1 (mod 3),
+    by Cornacchia from the element w of order 3 that modmath._unity finds."""
+    w = _unity(3, N)
     A, B = _cornacchia(3, (2 * w + 1) % N, N)  # w^2 + w + 1 = 0, so (2w + 1)^2 = -3
     # 4N = (2A)^2 + 12 B^2 = (A + 3B)^2 + 3 (A - B)^2 = (A - 3B)^2 + 3 (A + B)^2
     L = 2 * A if B % 3 == 0 else A + 3 * B if (A - B) % 3 == 0 else A - 3 * B
@@ -254,7 +255,7 @@ def _closed_form_T(pattern: tuple[int, int, int], N: int) -> int | None:
     n = N - 1
     m = math.prod(pattern)
     if m == pattern[0]:
-        return n // m - (pow(n, n // m, N) == 1)  # minus t = -1 = n if it lies in H_m
+        return n // m - _is_power(n, m, N)  # minus t = -1 = n if it lies in H_m
     if m in pattern:
         return n // m - 1
     if pattern == (2, 2, 2):

@@ -2,16 +2,16 @@
 
 Exponentiation, primality certification, k-th power residue testing and
 k-th root extraction.  Primality has one rule, Miller-Rabin on the fixed
-bases 2..41 (``is_probable_prime``).  One private helper finds a single k-th
-root for both ``kth_root_mod`` and ``all_kth_roots``.  With d = gcd(k, N-1),
-when gcd(k, (N-1)/d) = 1 the root is c^e with e = k^-1 mod (N-1)/d, a single
+bases 2..41 (``is_probable_prime``), and so does residuosity (``_is_power``:
+the Jacobi symbol at d = 2, Euler's criterion above).  With d = gcd(k, N-1),
+when gcd(k, (N-1)/d) = 1 the k-th root is c^e, e = k^-1 mod (N-1)/d, one
 exponentiation (this covers d = 1 and d = 2 with N = 3 mod 4).  That is the
-root an Adleman-Manders-Miller extraction returns there, so given a
-caller's ``random.Random`` the helper replays the non-residue draws AMM
-would make and leaves the generator in the same state.  Any other (k, N)
-runs AMM prime power by prime power through d.  ``all_kth_roots`` turns the
-one root into all d from an element of order d cached per (k, N).  The
-quadratic character (d = 2) is the Jacobi symbol, by quadratic reciprocity.
+root an Adleman-Manders-Miller extraction returns there, so given a caller's
+``random.Random`` the root helper replays AMM's non-residue draws and leaves
+the generator in the same state.  Otherwise AMM runs prime power by prime
+power through d, recombining the roots by modular inverses.  ``all_kth_roots``
+turns one root into all d from the element of order d cached per (d, N)
+(``_unity``, the one search for such an element).
 
 All functions are pure; randomness enters only through an explicit
 ``random.Random`` argument, so seeded callers are fully reproducible.
@@ -217,7 +217,7 @@ def find_generator(N, rng: random.Random | None = None) -> int:
     prime_factors = list(factorize(n, rng))
     while True:
         g = rng.randrange(2, Nm.value)
-        if all(pow(g, n // p, Nm.value) != 1 for p in prime_factors):
+        if not any(_is_power(g, p, Nm.value) for p in prime_factors):
             return g
 
 
@@ -251,10 +251,26 @@ def _checked_input(c, k: int, N) -> tuple[int, int]:
 
 
 def _is_power(c: int, d: int, N: int) -> bool:
-    """Euler's criterion for a nonzero c and d | N-1 (for d = 2, the Jacobi symbol)."""
+    """Whether the nonzero c is a d-th power mod the prime N, d | N-1: always
+    at d = 1, by the Jacobi symbol at d = 2, else by Euler's criterion."""
+    if d == 1:
+        return True
     if d == 2:
         return _jacobi(c, N) == 1
     return pow(c, (N - 1) // d, N) == 1
+
+
+@functools.lru_cache(maxsize=256)
+def _unity(d: int, N: int) -> int:
+    """An element of exact order d mod the prime N (d | N-1), cached per (d, N):
+    u^((N-1)/d) for the least u >= 2 that is a pi-th power for no prime pi | d."""
+    if d <= 2:  # 1 has order 1, and N-1 = -1 has order 2
+        return 1 if d == 1 else N - 1
+    prime_factors = list(factorize(d))
+    u = 2
+    while any(_is_power(u, pi, N) for pi in prime_factors):
+        u += 1
+    return pow(u, (N - 1) // d, N)
 
 
 def kth_residue_test(t, k: int, N) -> bool:
@@ -290,10 +306,7 @@ def _prime_root(c: int, pi: int, N: int, rng: random.Random) -> int:
         m //= pi
     rho = _find_non_residue(pi, N, rng)
     b = pow(rho, m, N)  # order exactly pi^s
-    if m > 1:
-        y = pow(c, pow(pi, -1, m), N)
-    else:
-        y = 1
+    y = pow(c, pow(pi, -1, m), N)  # at m = 1, pow(pi, -1, 1) = 0 and y = 1
     t = c * pow(y, -pi, N) % N  # lies in <b>, and is a pi-th power there
     gamma = pow(b, pi ** (s - 1), N)  # primitive pi-th root of unity
     # digit-extract e with b^e = t, base-pi digits low to high
@@ -323,9 +336,8 @@ def _prime_power_root(c: int, pi: int, a: int, N: int, rng: random.Random) -> in
         w = _prime_root(t, pi, N, rng)
         if remaining > 0:
             # steer onto a pi^remaining-th residue; some pi-th root of t is one
-            need = n // pi**remaining
             for _ in range(pi):
-                if pow(w, need, N) == 1:
+                if _is_power(w, pi**remaining, N):
                     break
                 w = w * zeta % N
             else:
@@ -361,15 +373,15 @@ def _one_root(c: int, k: int, N: int, rng: random.Random | None) -> int:
     rng = rng or random.Random(_FALLBACK_SEED)
     # same solution set as y^k = c, since c is a residue
     target = pow(c, pow(k // d, -1, m), N)
-    parts = [
-        (_prime_power_root(target, pi, a, N, rng), pi**a)
-        for pi, a in factorize(d, rng).items()
-    ]
-    coeffs = _bezout_combination([d // size for _, size in parts])
-    y = 1
-    for (root, _), u in zip(parts, coeffs):
-        y = y * pow(root, u, N) % N
-    return y
+    # root_i^s_i = target for s_i = pi^a; u_i = (d/s_i)^-1 mod s_i gives
+    # sum u_i d/s_i = 1 + j d, so y = target^-j prod root_i^u_i has y^d = target
+    y, excess = 1, -1
+    for pi, a in factorize(d, rng).items():
+        s = pi**a
+        u = pow(d // s, -1, s)
+        y = y * pow(_prime_power_root(target, pi, a, N, rng), u, N) % N
+        excess += u * (d // s)
+    return y * pow(target, -(excess // d), N) % N
 
 
 def kth_root_mod(c, k: int, N, rng: random.Random | None = None) -> Residue:
@@ -379,7 +391,7 @@ def kth_root_mod(c, k: int, N, rng: random.Random | None = None) -> Residue:
     y = c^(k^-1 mod (N-1)/d) and the draws an Adleman-Manders-Miller
     extraction would make are replayed on rng, so seeded callers consume it
     exactly as AMM does.  Otherwise AMM solves y^d prime power by prime
-    power, recombining with Bezout coefficients.
+    power, recombining the roots by modular inverses.
     """
     cv, Nv = _checked_input(c, k, N)
     if cv == 0:
@@ -387,57 +399,18 @@ def kth_root_mod(c, k: int, N, rng: random.Random | None = None) -> Residue:
     return Residue(_one_root(cv, k, Nv, rng), Nv)
 
 
-def _bezout_combination(values: list[int]) -> list[int]:
-    """Coefficients u_i with sum(u_i * values_i) = gcd(values) (here 1)."""
-    coeffs = [1]
-    g = values[0]
-    for v in values[1:]:
-        g2, a, b = _xgcd(g, v)
-        coeffs = [u * a for u in coeffs]
-        coeffs.append(b)
-        g = g2
-    return coeffs
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        qt, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - qt * x1
-        y0, y1 = y1, y0 - qt * y1
-    return a, x0, y0
-
-
-@functools.lru_cache(maxsize=256)
-def _root_plan(k: int, N: int) -> tuple[int, int]:
-    """(d, omega) for k-th roots mod the prime N, computed once per (k, N).
-
-    d = gcd(k, N-1) is the number of roots of a nonzero residue and omega an
-    element of order exactly d, found by a deterministic scan.  N must
-    already be certified prime.
-    """
-    n = N - 1
-    d = math.gcd(k, n)
-    if d <= 2:  # 1 has order 1, and N-1 = -1 has order 2
-        return d, 1 if d == 1 else N - 1
-    prime_factors = list(factorize(d))
-    u = 2
-    while any(pow(u, n // pi, N) == 1 for pi in prime_factors):
-        u += 1
-    return d, pow(u, n // d, N)
-
-
 def all_kth_roots(c, k: int, N) -> set[Residue]:
     """The full set of k-th roots of c mod N: gcd(k, N-1) of them, or {0}.
 
     One root y comes from the single-root helper with no rng (one
     exponentiation when gcd(k, (N-1)/d) = 1, no draws); the rest are y
-    times the powers of the cached element of order d = gcd(k, N-1).
+    times the powers of the element of order d = gcd(k, N-1), cached per (d, N).
     """
     cv, Nv = _checked_input(c, k, N)
     if cv == 0:
         return {Residue(0, Nv)}
-    d, omega = _root_plan(k, Nv)
+    d = math.gcd(k, Nv - 1)
+    omega = _unity(d, Nv)
     y = _one_root(cv, k, Nv, None)
     roots = set()
     for _ in range(d):

@@ -162,6 +162,17 @@ class TestCountCommand:
         assert code == 3
         assert err.startswith("error: ModulusTooLarge: ")
 
+    @pytest.mark.parametrize("flag", ["--fourier", "--brute"])
+    def test_array_line_failure_prints_nothing(self, capsys, flag):
+        # the M= line is exact at any N, but it must not go out without the rest
+        code, out, err = invoke(
+            capsys, "count", "--p", "2", "--q", "2", "--r", "2",
+            "--modulus", str(ABOVE_2_31), flag,
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ModulusTooLarge: ")
+
     def test_exponent_below_one_is_usage_error(self, capsys):
         code, out, err = invoke(
             capsys, "count", "--p", "0", "--q", "2", "--r", "2", "--modulus", "7"

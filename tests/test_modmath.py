@@ -11,8 +11,9 @@ from bealschur.errors import ModulusTooSmall, NonResidue, NotPrime
 from bealschur.modmath import (
     PrimeModulus,
     Residue,
+    _is_power,
     _jacobi,
-    _root_plan,
+    _unity,
     all_kth_roots,
     as_prime_modulus,
     factorize,
@@ -37,7 +38,9 @@ SMALL_PRIMES = sieve_primes(101)
 ROOT_EXPONENTS = (2, 3, 4, 6)
 
 # (N, k) for the AMM replay oracle: d = gcd(k, N-1) is 2, 2, 2 and 6 (two
-# primes) with gcd(k, (N-1)/d) = 1, then two contexts where it is not
+# primes) with gcd(k, (N-1)/d) = 1, then three contexts where it is not, the
+# last with d = 30 (three primes; N - 1 = 2^4 3^2 5^2 ...) recombined from
+# three prime-power roots
 REPLAY_CONTEXTS = [
     (PRIME_66_BIT, 2),
     (PRIME_74_BIT, 4),
@@ -45,6 +48,7 @@ REPLAY_CONTEXTS = [
     (2**89 - 1, 6),
     (2**61 - 1, 6),
     (1000033, 8),
+    (999999997201, 30),
 ]
 
 
@@ -194,6 +198,24 @@ class TestJacobi:
                 assert _jacobi(a, n) == expected, (a, n)
 
 
+class TestSharedRule:
+    """_is_power and _unity decide every k-th power fact mod N."""
+
+    def test_is_power_is_euler_for_every_divisor(self):
+        for N in SMALL_PRIMES:
+            for d in (d for d in range(1, N) if (N - 1) % d == 0):
+                for c in range(1, N):
+                    euler = pow(c, (N - 1) // d, N) == 1
+                    assert _is_power(c, d, N) == euler, (c, d, N)
+
+    def test_unity_has_exact_order(self):
+        for N in SMALL_PRIMES:
+            for d in (d for d in range(1, N) if (N - 1) % d == 0):
+                w = _unity(d, N)
+                order = next(e for e in range(1, N) if pow(w, e, N) == 1)
+                assert order == d, (d, N)
+
+
 class TestKthResidue:
     def test_zero_is_always_residue(self):
         assert kth_residue_test(0, 3, 7)
@@ -286,8 +308,7 @@ class TestKthRoot:
         ],
     )
     def test_large_modulus_root_set(self, rng, N, k, exponent_path):
-        d, _ = _root_plan(k, N)
-        assert d == math.gcd(k, N - 1)
+        d = math.gcd(k, N - 1)
         m = (N - 1) // d
         assert (math.gcd(k, m) == 1) == exponent_path
         for _ in range(5):
@@ -340,7 +361,7 @@ class TestKthRoot:
         def refuse(*args):
             raise AssertionError("root search ran during decryption")
 
-        _root_plan.cache_clear()
+        _unity.cache_clear()
         monkeypatch.setattr(modmath, "_find_non_residue", refuse)
         monkeypatch.setattr(modmath, "factorize", refuse)
         assert decrypt_I(ct_one, (2, PRIME_66_BIT), (2, 2)) == msg

@@ -24,8 +24,6 @@ DEFAULT_TRIPLETS = [
 
 def first_prime_above(n):
     candidate = n + 1 if n % 2 == 0 else n + 2
-    if candidate % 2 == 0:
-        candidate += 1
     while not is_probable_prime(candidate):
         candidate += 2
     return candidate

@@ -16,6 +16,7 @@ that forces a nontrivial solution once N > 32 p^2 q^2 r^2, and finds a witness.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -115,15 +116,17 @@ class ExpSum:
 
 
 def exp_sum(k: int, ell: int, N) -> ExpSum:
-    """One exponential sum, evaluated termwise from the power histogram."""
+    """One exponential sum, 1 + d sum_{h in H_d} exp(2 pi i (k h mod N) / N) over the
+    d-th powers H_d, d = gcd(ell, N-1): k h is reduced first, so each phase is below 2 pi."""
     import numpy as np
-    modulus = _array_modulus(N)
+    modulus = _array_modulus(N, ell)
     Nv = modulus.value
     if not 0 <= k < Nv:
         raise ValueError(f"k must lie in [0, {Nv - 1}]")
-    hist = power_histogram(ell, modulus)
-    phases = np.exp((2j * math.pi * k / Nv) * np.arange(Nv))
-    return ExpSum(k=k, ell=ell, modulus=Nv, value=complex(hist.freq @ phases))
+    d = math.gcd(ell, Nv - 1)
+    kh = k * _generator_powers(modulus)[::d] % Nv
+    value = 1 + d * np.exp((2j * math.pi / Nv) * kh).sum()
+    return ExpSum(k=k, ell=ell, modulus=Nv, value=complex(value))
 
 
 def _gauss_periods(D: int, modulus: PrimeModulus) -> tuple[np.ndarray, np.ndarray]:
@@ -176,13 +179,12 @@ def count_trivial(p: int, q: int, r: int, N) -> int:
 
 def trivial_upper_bound(p: int, q: int, r: int, N) -> int:
     """Closed-form cap 1 + (min(q,r) + min(p,r) + min(p,q)) * (N-1)."""
-    Nv = int(N)
-    return 1 + (min(q, r) + min(p, r) + min(p, q)) * (Nv - 1)
+    return 1 + (min(q, r) + min(p, r) + min(p, q)) * (operator.index(N) - 1)
 
 
 def count_lower_bound(p: int, q: int, r: int, N) -> float:
     """The guaranteed floor N^2 - (2N)^(3/2) * p*q*r on the solution count."""
-    Nv = int(N)
+    Nv = operator.index(N)
     return Nv * Nv - (2 * Nv) ** 1.5 * p * q * r
 
 

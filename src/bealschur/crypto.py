@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import groupby
-from operator import itemgetter
+from operator import index, itemgetter
 
 from .errors import (
     AmbiguousRoot,
@@ -97,7 +97,7 @@ def decode_message(blocks, N) -> bytes:
         return b""
     stream = bytearray()
     for i, block in enumerate(blocks):
-        payload = _block_payload(int(block), capacity)
+        payload = _block_payload(index(block), capacity)
         if payload is None:
             raise ChecksumMismatch(f"block {i} failed its checksum")
         stream += payload

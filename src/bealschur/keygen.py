@@ -33,7 +33,8 @@ from .errors import (
     NotPrime,
 )
 from .crypto import MIN_ENCRYPTION_MODULUS
-from .modmath import PrimeModulus, all_kth_roots, as_prime_modulus, is_probable_prime
+from .modmath import PrimeModulus, _residue_value, all_kth_roots, as_prime_modulus
+from .modmath import is_probable_prime
 from .triplets import BSContext, ExponentTriplet, find_bs_pair, is_bs_triplet
 
 _PRIME_SEARCH_CAP = 100_000
@@ -138,7 +139,7 @@ def _generate(
         )
     modulus = sample_indiscernible_prime(triplet, bit_range, rng)
     ctx = BSContext(triplet, modulus)
-    zv = rng.randrange(1, ctx.N) if z is None else int(z) % ctx.N
+    zv = rng.randrange(1, ctx.N) if z is None else _residue_value(z, ctx.N)
     x, y = find_bs_pair(zv, ctx, rng)
     return KeyPair(
         scheme=scheme,

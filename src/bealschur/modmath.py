@@ -11,7 +11,10 @@ root an Adleman-Manders-Miller extraction returns there, so given a caller's
 the generator in the same state.  Otherwise AMM runs prime power by prime
 power through d, recombining the roots by modular inverses.  ``all_kth_roots``
 turns one root into all d from the element of order d cached per (d, N)
-(``_unity``, the one search for such an element).
+(``_unity``).  AMM's non-residues, generators and ``_unity`` each take the
+first draw that is a pi-th power for no pi in a set of primes (``_non_power``).
+A caller's value must be an integer (``operator.index``, so a float raises
+TypeError) or a Residue of the same modulus (else MixedModuli).
 
 All functions are pure; randomness enters only through an explicit
 ``random.Random`` argument, so seeded callers are fully reproducible.
@@ -21,10 +24,11 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import random
 from dataclasses import dataclass
 
-from .errors import ModulusTooSmall, NonResidue, NotPrime
+from .errors import MixedModuli, ModulusTooSmall, NonResidue, NotPrime
 
 DEFAULT_MR_ROUNDS = 40
 
@@ -50,9 +54,6 @@ class Residue:
         if not 0 <= self.value < self.modulus:
             raise ValueError(f"residue {self.value} not reduced mod {self.modulus}")
 
-    def __int__(self) -> int:
-        return self.value
-
     def __index__(self) -> int:
         return self.value
 
@@ -70,6 +71,7 @@ class PrimeModulus:
     rounds: int = DEFAULT_MR_ROUNDS
 
     def __post_init__(self):
+        object.__setattr__(self, "value", operator.index(self.value))
         if self.rounds < 1:
             raise ValueError("rounds must be positive")
         if not is_probable_prime(self.value, self.rounds):
@@ -81,18 +83,24 @@ class PrimeModulus:
             return "proven-by-fixed-bases"
         return f"probable({self.rounds})"
 
-    def __int__(self) -> int:
-        return self.value
-
     def __index__(self) -> int:
         return self.value
 
 
 def as_prime_modulus(n, rounds: int = DEFAULT_MR_ROUNDS) -> PrimeModulus:
-    """Coerce an int (or pass through a PrimeModulus), certifying primality."""
+    """Certify an integer as a PrimeModulus, or pass a PrimeModulus through."""
     if isinstance(n, PrimeModulus):
         return n
-    return PrimeModulus(int(n), rounds)
+    return PrimeModulus(n, rounds)
+
+
+def _residue_value(v, N: int) -> int:
+    """v as an int in [0, N): a Residue must be mod N, anything else an integer."""
+    if isinstance(v, Residue):
+        if v.modulus != N:
+            raise MixedModuli(f"residue mod {v.modulus} used in a mod-{N} context")
+        return v.value
+    return operator.index(v) % N
 
 
 def mod_pow(base, exponent: int, modulus: int) -> Residue:
@@ -101,7 +109,7 @@ def mod_pow(base, exponent: int, modulus: int) -> Residue:
         raise ModulusTooSmall(f"modulus {modulus} < 2")
     if exponent < 0:
         raise ValueError("exponent must be non-negative")
-    return Residue(pow(int(base), exponent, modulus), modulus)
+    return Residue(pow(_residue_value(base, modulus), exponent, modulus), modulus)
 
 
 def _mr_witness(a: int, d: int, s: int, n: int) -> bool:
@@ -205,20 +213,14 @@ def factorize(n: int, rng: random.Random | None = None) -> dict[int, int]:
 
 
 def find_generator(N, rng: random.Random | None = None) -> int:
-    """A generator of the multiplicative group mod prime N.
-
-    Requires the full factorization of N-1, so intended for desk-scale N.
-    """
+    """A generator mod the prime N: the first draw that is a pi-th power for
+    no prime pi | N-1.  Needs the factorization of N-1, so desk-scale N only."""
     Nm = as_prime_modulus(N)
     n = Nm.value - 1
     if n == 1:
         return 1
     rng = rng or random.Random(_FALLBACK_SEED)
-    prime_factors = list(factorize(n, rng))
-    while True:
-        g = rng.randrange(2, Nm.value)
-        if not any(_is_power(g, p, Nm.value) for p in prime_factors):
-            return g
+    return _non_power(factorize(n, rng), Nm.value, rng)
 
 
 # -- k-th residues and roots --------------------------------------------------
@@ -247,7 +249,7 @@ def _checked_input(c, k: int, N) -> tuple[int, int]:
     Nv = as_prime_modulus(N).value
     if k < 1:
         raise ValueError("k must be positive")
-    return int(c) % Nv, Nv
+    return _residue_value(c, Nv), Nv
 
 
 def _is_power(c: int, d: int, N: int) -> bool:
@@ -263,13 +265,11 @@ def _is_power(c: int, d: int, N: int) -> bool:
 @functools.lru_cache(maxsize=256)
 def _unity(d: int, N: int) -> int:
     """An element of exact order d mod the prime N (d | N-1), cached per (d, N):
-    u^((N-1)/d) for the least u >= 2 that is a pi-th power for no prime pi | d."""
+    u^((N-1)/d) for the first draw u of a fixed-seed rng that is a pi-th power
+    for no prime pi | d."""
     if d <= 2:  # 1 has order 1, and N-1 = -1 has order 2
         return 1 if d == 1 else N - 1
-    prime_factors = list(factorize(d))
-    u = 2
-    while any(_is_power(u, pi, N) for pi in prime_factors):
-        u += 1
+    u = _non_power(factorize(d), N, random.Random(_FALLBACK_SEED))
     return pow(u, (N - 1) // d, N)
 
 
@@ -283,13 +283,14 @@ def kth_residue_test(t, k: int, N) -> bool:
     return tv == 0 or _is_power(tv, math.gcd(k, Nv - 1), Nv)
 
 
-def _find_non_residue(pi: int, N: int, rng: random.Random) -> int:
-    """Random element that is not a pi-th power mod N (pi prime, pi | N-1)."""
+def _non_power(primes, N: int, rng: random.Random) -> int:
+    """The first draw u = rng.randrange(2, N) that is a pi-th power mod N for
+    no pi in primes (each prime, pi | N-1); NonResidue after 4096 draws."""
     for _ in range(4096):
-        rho = rng.randrange(2, N)
-        if not _is_power(rho, pi, N):
-            return rho
-    raise NonResidue(f"could not find a non-{pi}th-residue mod {N}")
+        u = rng.randrange(2, N)
+        if not any(_is_power(u, pi, N) for pi in primes):
+            return u
+    raise NonResidue(f"no non-power for the primes {list(primes)} mod {N} in 4096 draws")
 
 
 def _prime_root(c: int, pi: int, N: int, rng: random.Random) -> int:
@@ -299,13 +300,11 @@ def _prime_root(c: int, pi: int, N: int, rng: random.Random) -> int:
     pi mod m, then correct inside the pi^s-torsion subgroup by digit-wise
     discrete log base a subgroup generator.
     """
-    n = N - 1
-    s, m = 0, n
+    s, m = 0, N - 1
     while m % pi == 0:
         s += 1
         m //= pi
-    rho = _find_non_residue(pi, N, rng)
-    b = pow(rho, m, N)  # order exactly pi^s
+    b = pow(_non_power((pi,), N, rng), m, N)  # order exactly pi^s
     y = pow(c, pow(pi, -1, m), N)  # at m = 1, pow(pi, -1, 1) = 0 and y = 1
     t = c * pow(y, -pi, N) % N  # lies in <b>, and is a pi-th power there
     gamma = pow(b, pi ** (s - 1), N)  # primitive pi-th root of unity
@@ -313,13 +312,12 @@ def _prime_root(c: int, pi: int, N: int, rng: random.Random) -> int:
     e = 0
     for j in range(s):
         w = pow(t * pow(b, -e, N) % N, pi ** (s - 1 - j), N)
-        digit, acc = None, 1
-        for cand in range(pi):
+        acc = 1
+        for digit in range(pi):
             if acc == w:
-                digit = cand
                 break
             acc = acc * gamma % N
-        if digit is None:
+        else:
             raise NonResidue(f"{c} is not a {pi}th residue mod {N}")
         e += digit * pi**j
     if e % pi != 0:
@@ -330,7 +328,7 @@ def _prime_root(c: int, pi: int, N: int, rng: random.Random) -> int:
 def _prime_power_root(c: int, pi: int, a: int, N: int, rng: random.Random) -> int:
     """One pi^a-th root of c mod N; c must be a pi^a-th residue, pi^a | N-1."""
     n = N - 1
-    zeta = pow(_find_non_residue(pi, N, rng), n // pi, N)  # order pi
+    zeta = pow(_non_power((pi,), N, rng), n // pi, N)  # order pi
     t = c
     for remaining in range(a - 1, -1, -1):
         w = _prime_root(t, pi, N, rng)
@@ -366,7 +364,7 @@ def _one_root(c: int, k: int, N: int, rng: random.Random | None) -> int:
         if rng is not None:
             for pi, a in factorize(d, rng).items():
                 for _ in range(1 + a):
-                    _find_non_residue(pi, N, rng)
+                    _non_power((pi,), N, rng)
         return y
     if not _is_power(c, d, N):
         raise NonResidue(f"{c} is not a {k}th residue mod {N}")

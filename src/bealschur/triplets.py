@@ -27,6 +27,7 @@ from .errors import (
 from .modmath import (
     PrimeModulus,
     Residue,
+    _residue_value,
     as_prime_modulus,
     kth_residue_test,
     kth_root_mod,
@@ -133,14 +134,6 @@ class BSContext:
         return self.modulus.value
 
 
-def _residue_value(v, N: int) -> int:
-    if isinstance(v, Residue):
-        if v.modulus != N:
-            raise MixedModuli(f"residue mod {v.modulus} used in a mod-{N} context")
-        return v.value
-    return int(v) % N
-
-
 @dataclass(frozen=True)
 class BSTriplet:
     """A solution (x, y, z) of x^p + y^q = z^r (mod N) for some context."""
@@ -162,9 +155,7 @@ class BSTriplet:
 def is_bs_triplet(x, y, z, ctx: BSContext) -> bool:
     """True iff x^p + y^q = z^r (mod N) in the given context."""
     N = ctx.N
-    xv = _residue_value(x, N)
-    yv = _residue_value(y, N)
-    zv = _residue_value(z, N)
+    xv, yv, zv = (_residue_value(v, N) for v in (x, y, z))
     return (pow(xv, ctx.p, N) + pow(yv, ctx.q, N)) % N == pow(zv, ctx.r, N)
 
 

@@ -87,6 +87,15 @@ class TestExpSum:
         assert s.real == pytest.approx(math.sqrt(5), abs=1e-9)
         assert abs(s.imag) < 1e-9
 
+    @pytest.mark.parametrize("N", [131101, 1000003, 1000033, 2000003])
+    def test_quadratic_gauss_sum_at_large_k(self, N):
+        # S_k(2) = (k/N) sqrt(N) for N = 1 (mod 4), (k/N) i sqrt(N) for N = 3 (mod 4)
+        unit = 1 if N % 4 == 1 else 1j
+        for k in (1, 2, 12345, N // 2, N - 2, N - 1):
+            legendre = 1 if pow(k, (N - 1) // 2, N) == 1 else -1
+            want = legendre * unit * math.sqrt(N)
+            assert abs(exp_sum(k, 2, N).value - want) < 1e-8, k
+
     def test_triangle_inequality(self, rng):
         for _ in range(50):
             N = rng.choice(PRIMES_101[1:])
@@ -278,6 +287,15 @@ class TestBounds:
         for p, q, r, N in ((2, 2, 2, 2053), (2, 2, 2, 2069), (3, 3, 3, 23333)):
             counts = count_solutions_exact(p, q, r, N)
             assert counts.total >= count_lower_bound(p, q, r, N)
+
+    @pytest.mark.parametrize(
+        "fn", [count_solutions_exact, count_trivial, count_lower_bound, trivial_upper_bound]
+    )
+    def test_float_modulus_refused(self, fn):
+        # no truncation to 13: a modulus must be an integer
+        with pytest.raises(TypeError):
+            fn(2, 2, 2, 13.5)
+        assert fn(2, 2, 2, np.int64(13)) == fn(2, 2, 2, 13)
 
 
 class TestPowerMatches:

@@ -10,6 +10,7 @@ from bealschur.errors import (
     BoundsInfeasible,
     InvariantViolated,
     MalformedKeyFile,
+    MixedModuli,
 )
 from bealschur.keygen import (
     KeyHalf,
@@ -23,6 +24,7 @@ from bealschur.keygen import (
     serialize_fields,
     serialize_key,
 )
+from bealschur.modmath import Residue
 from bealschur.triplets import is_bs_triplet, is_indiscernible, is_intra_divisible
 
 from conftest import NON_CANONICAL
@@ -114,6 +116,12 @@ class TestGeneration:
         key = keygen_scheme1(4, (18, 24), random.Random(3), z=12345)
         assert key.z == 12345
         check_key_invariants(key)
+
+    def test_explicit_z_of_another_modulus_refused(self):
+        with pytest.raises(MixedModuli):
+            keygen_scheme1(4, (18, 24), random.Random(3), z=Residue(5, 7))
+        with pytest.raises(TypeError):
+            keygen_scheme1(4, (18, 24), random.Random(3), z=12345.0)
 
     def test_public_field_sets(self):
         k1 = keygen_scheme1(*BOUNDS, random.Random(0))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from bealschur import modmath
 from bealschur.crypto import decrypt_I, decrypt_II, encrypt_I, encrypt_II
-from bealschur.errors import ModulusTooSmall, NonResidue, NotPrime
+from bealschur.errors import MixedModuli, ModulusTooSmall, NonResidue, NotPrime
 from bealschur.modmath import (
     PrimeModulus,
     Residue,
@@ -117,6 +117,49 @@ class TestResidueTypes:
     def test_prime_modulus_passthrough(self):
         pm = as_prime_modulus(7)
         assert as_prime_modulus(pm) is pm
+
+
+class TestInputRule:
+    """A caller's value is an integer or a Residue of the same modulus."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda v: kth_residue_test(v, 2, 13),
+            lambda v: kth_root_mod(v, 2, 13),
+            lambda v: all_kth_roots(v, 2, 13),
+            lambda v: mod_pow(v, 3, 13),
+        ],
+        ids=["kth_residue_test", "kth_root_mod", "all_kth_roots", "mod_pow"],
+    )
+    def test_residue_of_another_modulus_refused(self, call):
+        with pytest.raises(MixedModuli):
+            call(Residue(4, 7))
+        assert call(Residue(4, 13)) == call(4)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: as_prime_modulus(7.9),
+            lambda: PrimeModulus(65537.0),
+            lambda: kth_root_mod(4.7, 2, 13),
+            lambda: kth_root_mod(4, 2, 13.0),
+            lambda: mod_pow(2.5, 3, 13),
+        ],
+        ids=["as_prime_modulus", "PrimeModulus", "root-c", "root-N", "mod_pow"],
+    )
+    def test_float_refused(self, call):
+        with pytest.raises(TypeError):
+            call()
+
+    def test_integer_types_accepted(self):
+        import numpy as np
+
+        pm = as_prime_modulus(np.int64(65537))
+        assert pm.value == 65537 and type(pm.value) is int
+        assert PrimeModulus(PrimeModulus(13)).value == 13
+        assert kth_root_mod(np.int64(4), 2, np.int64(13)) == kth_root_mod(4, 2, 13)
+        assert int(pm) == 65537  # int() falls back to __index__
 
 
 class TestPrimality:
@@ -362,7 +405,7 @@ class TestKthRoot:
             raise AssertionError("root search ran during decryption")
 
         _unity.cache_clear()
-        monkeypatch.setattr(modmath, "_find_non_residue", refuse)
+        monkeypatch.setattr(modmath, "_non_power", refuse)
         monkeypatch.setattr(modmath, "factorize", refuse)
         assert decrypt_I(ct_one, (2, PRIME_66_BIT), (2, 2)) == msg
         assert decrypt_II(ct_two, (2, 4, 8), PRIME_74_BIT) == msg
@@ -425,3 +468,18 @@ class TestGeneratorAndFactorization:
         for N in SMALL_PRIMES[1:]:
             g = find_generator(N, random.Random(N))
             assert len({pow(g, e, N) for e in range(N - 1)}) == N - 1
+
+    @pytest.mark.parametrize(
+        "N,default,seeded,next_bits",
+        [
+            (131101, 125909, 30485, 3475283521191744929),
+            (1000003, 503633, 540940, 5905430642995485387),
+            (1000033, 598808, 964411, 6156587842274027006),
+        ],
+    )
+    def test_generator_draws_pinned(self, N, default, seeded, next_bits):
+        # the generators and rng end states the Fourier cross-check relies on
+        assert find_generator(N) == default
+        rng = random.Random(N)
+        assert find_generator(N, rng) == seeded
+        assert rng.getrandbits(64) == next_bits

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import random
-import secrets
 import sys
 
 from . import counting, crypto, keygen
@@ -57,7 +56,7 @@ def _file(path: str, mode: str, data: str | bytes | None = None):
 
 
 def _rng(seed) -> random.Random:
-    return random.Random(seed if seed is not None else secrets.randbits(64))
+    return random.Random(seed if seed is not None else random.SystemRandom().getrandbits(64))
 
 
 @functools.cache

@@ -119,6 +119,7 @@ def exp_sum(k: int, ell: int, N) -> ExpSum:
     """One exponential sum, 1 + d sum_{h in H_d} exp(2 pi i (k h mod N) / N) over the
     d-th powers H_d, d = gcd(ell, N-1): k h is reduced first, so each phase is below 2 pi."""
     import numpy as np
+    k = operator.index(k)
     modulus = _array_modulus(N, ell)
     Nv = modulus.value
     if not 0 <= k < Nv:

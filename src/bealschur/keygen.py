@@ -40,18 +40,20 @@ from .triplets import BSContext, ExponentTriplet, find_bs_pair, is_bs_triplet
 _PRIME_SEARCH_CAP = 100_000
 _TRIPLET_SEARCH_CAP = 1000
 
-# field orders for serialization, per (scheme, role)
-_FIELD_ORDER = {
-    ("KG1", "PUBLIC"): ("N", "z"),
-    ("KG1", "PRIVATE"): ("p", "q", "r", "x", "y"),
-    ("KG2", "PUBLIC"): ("p", "q", "r", "z"),
-    ("KG2", "PRIVATE"): ("N", "x", "y"),
-    ("KG2L", "PUBLIC"): ("p", "q", "r", "x", "y"),  # literal-role variant
-    ("KG2L", "PRIVATE"): ("N", "x", "y"),
-    ("I", "PUBLIC"): ("r", "N"),
-    ("I", "PRIVATE"): ("p", "q"),
-    ("II", "PUBLIC"): ("p", "q", "r"),
-    ("II", "PRIVATE"): ("N",),
+# every field order a key half may take, per (scheme, role): KG2's public
+# half lists the default order first and the literal-role one last, and
+# scheme III's names are numbered 1..n after the count n
+_FIELD_ORDERS = {
+    ("KG1", "PUBLIC"): (("N", "z"),),
+    ("KG1", "PRIVATE"): (("p", "q", "r", "x", "y"),),
+    ("KG2", "PUBLIC"): (("p", "q", "r", "z"), ("p", "q", "r", "x", "y")),
+    ("KG2", "PRIVATE"): (("N", "x", "y"),),
+    ("I", "PUBLIC"): (("r", "N"),),
+    ("I", "PRIVATE"): (("p", "q"),),
+    ("II", "PUBLIC"): (("p", "q", "r"),),
+    ("II", "PRIVATE"): (("N",),),
+    ("III", "PUBLIC"): (("p", "q", "r"),),
+    ("III", "PRIVATE"): (("N",),),
 }
 
 
@@ -73,12 +75,12 @@ class KeyPair:
         return self._fields("PRIVATE")
 
     def _fields(self, role: str) -> dict[str, int]:
-        """This half's named integers, in _FIELD_ORDER order."""
+        """This half's named integers, in its _FIELD_ORDERS order."""
         ctx = self.context
         values = {"p": ctx.p, "q": ctx.q, "r": ctx.r, "N": ctx.N,
                   "x": self.x, "y": self.y, "z": self.z}
-        order = _field_order(self.scheme, role, self.literal_roles)
-        return {name: values[name] for name in order}
+        orders = _FIELD_ORDERS[(self.scheme, role)]
+        return {name: values[name] for name in orders[-1 if self.literal_roles else 0]}
 
 
 def sample_intra_divisible_triplet(max_exponent: int, rng: random.Random) -> ExponentTriplet:
@@ -180,14 +182,6 @@ class KeyHalf:
     fields: dict[str, int]
 
 
-def _field_order(scheme: str, role: str, literal_roles: bool = False):
-    tag = "KG2L" if scheme == "KG2" and literal_roles else scheme
-    try:
-        return _FIELD_ORDER[(tag, role)]
-    except KeyError:
-        raise MalformedKeyFile(f"no field order for scheme {scheme} role {role}")
-
-
 def serialize_key(key: KeyPair, role: str) -> str:
     """Render one half of a key pair in the BSKEY v1 format."""
     role = role.upper()
@@ -212,10 +206,10 @@ def parse_key(text: str) -> KeyHalf:
     if len(header) != 4:
         raise MalformedKeyFile(f"bad header {lines[:1]}")
     role, scheme = header[2], header[3].removeprefix("scheme=")
-    if role not in ("PUBLIC", "PRIVATE"):
-        raise MalformedKeyFile(f"bad role {role!r}")
-    if scheme not in ("KG1", "KG2", "I", "II", "III"):
-        raise MalformedKeyFile(f"unknown scheme {scheme!r}")
+    try:
+        orders = _FIELD_ORDERS[(scheme, role)]
+    except KeyError:
+        raise MalformedKeyFile(f"no layout for scheme {scheme!r} role {role!r}") from None
     fields: dict[str, int] = {}
     for ln in lines[1:-1]:  # the round trip checks the BSKEY v1 tokens and the end line
         name, _, value = ln.partition("=")
@@ -225,33 +219,21 @@ def parse_key(text: str) -> KeyHalf:
             fields[name] = int(value)
         except ValueError:
             raise MalformedKeyFile(f"bad field line {ln!r}") from None
-    _validate_field_set(scheme, role, fields)
+    if scheme == "III":
+        names, n = orders[0], fields.get("n")
+        # the count check comes first, so n never sizes more than the file holds
+        if n is None or len(fields) != 1 + len(names) * n:
+            raise MalformedKeyFile(
+                f"scheme III {role} needs n=<count> and n groups of {names}"
+            )
+        orders = (("n", *(f"{name}{i}" for i in range(1, n + 1) for name in names)),)
+    if tuple(fields) not in orders:
+        raise MalformedKeyFile(
+            f"scheme {scheme} {role} fields {list(fields)} not in a canonical order"
+        )
     if serialize_fields(scheme, role, fields) != text:
         raise MalformedKeyFile("not the canonical text of its fields")
     return KeyHalf(scheme=scheme, role=role, fields=fields)
-
-
-def _validate_field_set(scheme: str, role: str, fields: dict[str, int]):
-    if scheme == "III":
-        if "n" not in fields:
-            raise MalformedKeyFile("scheme III key file needs n=<count>")
-        n = fields["n"]
-        names = ("p", "q", "r") if role == "PUBLIC" else ("N",)
-        # the count check comes first, so n never sizes more than the file holds
-        if len(fields) != 1 + len(names) * n:
-            raise MalformedKeyFile(
-                f"scheme III {role} with n={n} has {len(fields)} fields"
-            )
-        want = ("n", *(f"{name}{i}" for i in range(1, n + 1) for name in names))
-        if tuple(fields) != want:
-            raise MalformedKeyFile(
-                f"scheme III {role} fields {list(fields)} != {list(want)}"
-            )
-        return
-    if tuple(fields) not in (_field_order(scheme, role, lit) for lit in (False, True)):
-        raise MalformedKeyFile(
-            f"scheme {scheme} {role} fields {list(fields)} not in the canonical order"
-        )
 
 
 def assemble_keypair(pub: KeyHalf, priv: KeyHalf) -> KeyPair:

@@ -49,6 +49,8 @@ class Residue:
     modulus: int
 
     def __post_init__(self):
+        object.__setattr__(self, "value", operator.index(self.value))
+        object.__setattr__(self, "modulus", operator.index(self.modulus))
         if self.modulus < 2:
             raise ModulusTooSmall(f"modulus {self.modulus} < 2")
         if not 0 <= self.value < self.modulus:

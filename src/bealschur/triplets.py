@@ -11,6 +11,7 @@ produces x with x^p + y^q = z^r exactly (up to roundoff).
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 
@@ -60,7 +61,9 @@ class ExponentTriplet:
     r: int
 
     def __post_init__(self):
-        for e in (self.p, self.q, self.r):
+        for name in ("p", "q", "r"):
+            e = operator.index(getattr(self, name))
+            object.__setattr__(self, name, e)
             if e < 2:
                 raise ExponentTooSmall(f"exponent {e} < 2")
 

@@ -639,6 +639,7 @@ keys = ["--scheme", "I", "--pub", {str(pub)!r}, "--priv", {str(priv)!r}]
 assert run(["encrypt", *keys, "--in", d + "msg.bin", "--out", d + "ct", "--seed", "0"]) == 0
 assert run(["decrypt", *keys, "--in", d + "ct", "--out", d + "msg.out"]) == 0
 assert "numpy" not in sys.modules, "numpy was imported"
+assert "secrets" not in sys.modules, "secrets was imported"
 """
     result = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path

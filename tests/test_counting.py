@@ -96,6 +96,11 @@ class TestExpSum:
             want = legendre * unit * math.sqrt(N)
             assert abs(exp_sum(k, 2, N).value - want) < 1e-8, k
 
+    def test_float_frequency_refused(self):
+        with pytest.raises(TypeError):
+            exp_sum(1.5, 2, 13)
+        assert type(exp_sum(np.int64(1), 2, 13).k) is int
+
     def test_triangle_inequality(self, rng):
         for _ in range(50):
             N = rng.choice(PRIMES_101[1:])

@@ -13,6 +13,7 @@ from bealschur.errors import (
     MixedModuli,
 )
 from bealschur.keygen import (
+    _FIELD_ORDERS,
     KeyHalf,
     KeyPair,
     assemble_keypair,
@@ -245,6 +246,31 @@ class TestSerialization:
             with pytest.raises(MalformedKeyFile):
                 parse_key(f"BSKEY v1 PUBLIC scheme=III\nn={n}\nend\n")
             assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("scheme,role", list(_FIELD_ORDERS))
+    def test_every_layout_roundtrips(self, scheme, role):
+        for order in _FIELD_ORDERS[(scheme, role)]:
+            if scheme == "III":  # two contexts, names numbered after the count
+                order = ("n", *(f"{name}{i}" for i in (1, 2) for name in order))
+            fields = {name: 2 if name == "n" else 100 + i for i, name in enumerate(order)}
+            text = serialize_fields(scheme, role, fields)
+            assert parse_key(text) == KeyHalf(scheme, role, fields)
+
+    @pytest.mark.parametrize(
+        "header",
+        ["PUBLIC scheme=KG2L", "PRIVATE scheme=KG2L", "SECRET scheme=KG1", "PUBLIC scheme=IV"],
+        ids=["KG2L-public", "KG2L-private", "unknown-role", "unknown-scheme"],
+    )
+    def test_header_without_layout_rejected(self, header):
+        with pytest.raises(MalformedKeyFile, match="no layout"):
+            parse_key(f"BSKEY v1 {header}\np=2\nq=2\nr=2\nx=1\ny=3\nend\n")
+
+    @pytest.mark.parametrize("role", ["PUBLIC", "PRIVATE"])
+    def test_scheme3_count_required(self, role):
+        assert parse_key(f"BSKEY v1 {role} scheme=III\nn=0\nend\n").fields == {"n": 0}
+        for body in ("", "N1=2053\n", "n=-1\n", "n=-1\nN1=2053\n"):
+            with pytest.raises(MalformedKeyFile):
+                parse_key(f"BSKEY v1 {role} scheme=III\n{body}end\n")
 
     @given(text=_key_text)
     @settings(max_examples=300, deadline=None)

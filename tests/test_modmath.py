@@ -145,8 +145,11 @@ class TestInputRule:
             lambda: kth_root_mod(4.7, 2, 13),
             lambda: kth_root_mod(4, 2, 13.0),
             lambda: mod_pow(2.5, 3, 13),
+            lambda: Residue(3.5, 7),
+            lambda: Residue(3, 7.0),
         ],
-        ids=["as_prime_modulus", "PrimeModulus", "root-c", "root-N", "mod_pow"],
+        ids=["as_prime_modulus", "PrimeModulus", "root-c", "root-N", "mod_pow",
+             "Residue-value", "Residue-modulus"],
     )
     def test_float_refused(self, call):
         with pytest.raises(TypeError):
@@ -160,6 +163,8 @@ class TestInputRule:
         assert PrimeModulus(PrimeModulus(13)).value == 13
         assert kth_root_mod(np.int64(4), 2, np.int64(13)) == kth_root_mod(4, 2, 13)
         assert int(pm) == 65537  # int() falls back to __index__
+        r = Residue(np.int64(3), np.int64(7))
+        assert r == Residue(3, 7) and type(r.value) is int and type(r.modulus) is int
 
 
 class TestPrimality:

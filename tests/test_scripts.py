@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 # stdout of `encryption_demo.py --seed 0`: schemes I-III and one KG1 key, so
@@ -41,3 +43,19 @@ def test_bound_chain_sweep_passes(tmp_path):
     assert header.split()[0] == "p,q,r"
     assert row.startswith("2,2, 2") and " pass " in row
     assert row.endswith("(1, 3, 808)")
+
+
+@pytest.mark.parametrize(
+    "triplets,code,error",
+    [
+        ("1,1,1", 3, "error: ExponentTooSmall: "),
+        ("2,3,5", 3, "error: NotIntraDivisible: "),
+        ("2,2", 2, "argument --triplets: expected p,q,r triplets"),
+        ("a,b,c", 2, "argument --triplets: expected p,q,r triplets"),
+    ],
+)
+def test_bound_chain_sweep_refuses_bad_triplets(tmp_path, triplets, code, error):
+    proc = run_script("bound_chain_sweep.py", "--triplets", triplets, cwd=tmp_path)
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert error in proc.stderr and "Traceback" not in proc.stderr

@@ -99,6 +99,19 @@ class TestContext:
         with pytest.raises(NotPrime):
             BSContext.create(2, 2, 2, 2051)
 
+    def test_float_exponent_refused(self):
+        with pytest.raises(TypeError):
+            ExponentTriplet(2.0, 2, 2)
+        with pytest.raises(TypeError):
+            BSContext.create(2.0, 2, 2, 2053)
+
+    def test_integer_exponents_stored_as_int(self):
+        import numpy as np
+
+        t = ExponentTriplet(np.int64(2), 4, np.int64(8))
+        assert t == ExponentTriplet(2, 4, 8)
+        assert all(type(e) is int for e in (t.p, t.q, t.r))
+
 
 class TestBSTriplet:
     def test_zero_triplet(self):

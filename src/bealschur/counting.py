@@ -7,10 +7,11 @@ gcd patterns count over a discrete-log table.  A Fourier-side evaluation
 through the exponential sums S_k(ell) = sum_x exp(2 pi i k x^ell / N), which
 for k != 0 are Gauss periods of one O(N) pass over a generator's powers, is a
 floating cross-check that runs only when SolutionCount.fourier is read
-(``count --fourier``).  The table, the power histograms and the Gauss periods
-index one list of a generator's powers g^k, k < N-1: N-sized arrays, which
-alone use numpy and need N < 2^31.  verify_bound_chain evaluates the chain
-that forces a nontrivial solution once N > 32 p^2 q^2 r^2, and finds a witness.
+(``count --fourier``).  The table and the power histograms index an N-sized
+array of a generator's powers g^k, k < N-1; the Gauss periods fold the same
+powers block by block in O(sqrt(N) + D) memory.  Only these use numpy, with
+N < 2^31 for exact int64 products.  verify_bound_chain evaluates the chain that
+forces a nontrivial solution once N > 32 p^2 q^2 r^2, and finds a witness.
 """
 
 from __future__ import annotations
@@ -44,10 +45,10 @@ def _count_modulus(N, *exponents: int) -> PrimeModulus:
 
 
 def _array_modulus(N, *exponents: int) -> PrimeModulus:
-    """_count_modulus for paths that build N-sized arrays: N < 2^31 (int64 exactness)."""
+    """_count_modulus for the array paths: N < 2^31 keeps residue products exact in int64."""
     modulus = _count_modulus(N, *exponents)
     if modulus.value >= 1 << 31:
-        raise ModulusTooLarge(f"N-sized arrays need N below 2^31, got {modulus.value}")
+        raise ModulusTooLarge(f"array paths need N below 2^31, got {modulus.value}")
     return modulus
 
 
@@ -60,19 +61,25 @@ def _powers(a: int, count: int, N: int) -> np.ndarray:
     return out[:count]
 
 
-def _generator_powers(modulus: PrimeModulus) -> np.ndarray:
-    """[g^0, g^1, ..., g^(N-2)] mod N for a generator g, as int64.
+def _power_blocks(a: int, count: int, N: int, D: int = 1, size: int | None = None,
+                  start: int = 1):
+    """start a^t mod N for t < count, in int64 blocks of about size elements (one block
+    if size is None).  Each block is whole rows start a^(m i) [a^0 ... a^(m-1)], with
+    m ~ sqrt(count) a multiple of D | count, so it starts at t = 0 (mod D), and the cut
+    last row is a multiple of D long.  N < 2^31 keeps each product below 2^62."""
+    m = -(-math.isqrt(count) // D) * D
+    rows = -(-count // m)
+    baby, giant = _powers(a, m, N), _powers(pow(a, m, N), rows, N) * start % N
+    step = rows if size is None else max(1, size // m)
+    for i in range(0, rows, step):
+        block = giant[i : i + step, None] * baby
+        block %= N
+        yield block.ravel()[: count - m * i]
 
-    Giant steps g^(m i) times baby steps g^j give g^(m i + j); N < 2^31 keeps
-    each product below 2^62, and the in-place reduction keeps one N-sized array.
-    """
-    import numpy as np
-    N = modulus.value
-    g = find_generator(modulus)
-    m = math.isqrt(N - 2) + 1  # m * m >= N - 1
-    prod = _powers(pow(g, m, N), m, N)[:, None] * _powers(g, m, N)
-    prod %= N
-    return prod.ravel()[: N - 1]
+
+def _generator_powers(modulus: PrimeModulus) -> np.ndarray:
+    """[g^0, g^1, ..., g^(N-2)] mod N for a generator g, as one int64 array."""
+    return next(_power_blocks(find_generator(modulus), modulus.value - 1, modulus.value))
 
 
 @dataclass(frozen=True)
@@ -116,27 +123,39 @@ class ExpSum:
 
 
 def exp_sum(k: int, ell: int, N) -> ExpSum:
-    """One exponential sum, 1 + d sum_{h in H_d} exp(2 pi i (k h mod N) / N) over the
-    d-th powers H_d, d = gcd(ell, N-1): k h is reduced first, so each phase is below 2 pi."""
-    import numpy as np
+    """One exponential sum: S_0 = N and, for k != 0, S_k(ell) = 1 + d sum_h
+    exp(2 pi i k h / N) over the d-th powers h = g^(d t), d = gcd(ell, N-1)."""
     k = operator.index(k)
     modulus = _array_modulus(N, ell)
     Nv = modulus.value
     if not 0 <= k < Nv:
         raise ValueError(f"k must lie in [0, {Nv - 1}]")
-    d = math.gcd(ell, Nv - 1)
-    kh = k * _generator_powers(modulus)[::d] % Nv
-    value = 1 + d * np.exp((2j * math.pi / Nv) * kh).sum()
+    value = Nv
+    if k:
+        d = math.gcd(ell, Nv - 1)
+        value = 1 + d * _gauss_periods(1, modulus, d, k)[0]
     return ExpSum(k=k, ell=ell, modulus=Nv, value=complex(value))
 
 
-def _gauss_periods(D: int, modulus: PrimeModulus) -> tuple[np.ndarray, np.ndarray]:
-    """powers[m] = g^m mod N (m < N-1) for a generator g, and the Gauss
-    periods eta[j] = sum_{m = j (mod D)} exp(2 pi i g^m / N), j < D, D | N-1."""
+_BLOCK = 1 << 13  # powers per block of _gauss_periods: about 0.5 MB of temporaries
+
+
+def _gauss_periods(D: int, modulus: PrimeModulus, d: int = 1, k: int = 1) -> np.ndarray:
+    """eta[j] = sum of exp(2 pi i k g^(d t) / N) over t < (N-1)/d, t = j (mod D), for j < D,
+    a generator g and D d | N-1 (the Gauss periods at d = k = 1), in O(sqrt(N) + D)
+    memory.  Each block of _power_blocks starts at t = 0 (mod D), so it folds straight
+    into eta.  exp(2 pi i x / N) is hi[x >> s] lo[x & (2^s - 1)], from two tables of
+    about sqrt(N) phases reduced mod N."""
     import numpy as np
-    powers = _generator_powers(modulus)
-    phases = (2j * math.pi / modulus.value) * powers
-    return powers, np.exp(phases, out=phases).reshape(-1, D).sum(axis=0)
+    N = modulus.value
+    s = (N.bit_length() + 1) // 2
+    lo = np.exp((2j * math.pi / N) * np.arange(1 << s))
+    hi = np.exp((2j * math.pi / N) * ((np.arange(((N - 1) >> s) + 1) << s) % N))
+    eta = np.zeros(D, dtype=np.complex128)
+    a = pow(find_generator(modulus), d, N)
+    for x in _power_blocks(a, (N - 1) // d, N, D, _BLOCK, k):
+        eta += np.einsum("ij->j", (hi[x >> s] * lo[x & ((1 << s) - 1)]).reshape(-1, D))
+    return eta
 
 
 def exp_sum_table(ell: int, N) -> np.ndarray:
@@ -147,9 +166,8 @@ def exp_sum_table(ell: int, N) -> np.ndarray:
     modulus = _array_modulus(N, ell)
     n = modulus.value - 1
     d = math.gcd(ell, n)
-    powers, eta = _gauss_periods(d, modulus)
     table = np.full(n + 1, n + 1, dtype=np.complex128)  # S_0 = N; powers fill the rest
-    table[powers] = np.tile(1 + d * eta, n // d)
+    table[_generator_powers(modulus)] = np.tile(1 + d * _gauss_periods(d, modulus), n // d)
     return table
 
 
@@ -315,7 +333,7 @@ def count_solutions_fourier(p: int, q: int, r: int, N) -> float:
     Nv = modulus.value
     ds = [math.gcd(e, Nv - 1) for e in (p, q, r)]
     D = math.lcm(*ds)
-    _, eta = _gauss_periods(D, modulus)
+    eta = _gauss_periods(D, modulus)
     # eta_d is the fold of eta mod d; S_{g^j} for j < D tiles 1 + d eta_d
     sp, sq, sr = (1 + d * np.tile(eta.reshape(-1, d).sum(axis=0), D // d) for d in ds)
     tail = (Nv - 1) // D * np.sum(sp * sq * np.conj(sr))

@@ -1,5 +1,7 @@
 import cmath
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from bealschur.counting import (
     verify_bound_chain,
 )
 from bealschur.errors import ModulusTooLarge, NotPrime
-from bealschur.modmath import PrimeModulus
+from bealschur.modmath import PrimeModulus, find_generator
 from bealschur.triplets import BSContext, is_bs_triplet
 
 from conftest import (
@@ -131,6 +133,56 @@ class TestExpSum:
                     assert abs(total - N) < 1e-6
                 else:
                     assert abs(total) < 1e-6
+
+    @pytest.mark.parametrize("N", [101, 4099, 131101, 1000033, 2000003])
+    def test_matches_fsum_of_reduced_phases(self, N):
+        # S_k(ell) = sum_x exp(2 pi i (k x^ell mod N) / N), each phase reduced exactly
+        x = np.arange(N, dtype=np.int64)
+        power = np.ones(N, dtype=np.int64)
+        for ell in range(1, 7):
+            power = power * x % N
+            k = random.Random(N + ell).randrange(1, N)
+            angle = (k * power % N) * (2 * math.pi / N)
+            want = complex(math.fsum(np.cos(angle)), math.fsum(np.sin(angle)))
+            assert abs(exp_sum(k, ell, N).value - want) < 1e-9, (k, ell)
+
+
+class TestGaussPeriods:
+    def test_matches_definition(self):
+        # every D | N-1 covers D = 1, D = N-1, D > sqrt(N) and a partial last row
+        cases = 0
+        for N in sieve_primes(399):
+            modulus = PrimeModulus(N)
+            g = find_generator(modulus)
+            phases = [cmath.exp(2j * cmath.pi * pow(g, k, N) / N) for k in range(N - 1)]
+            for D in (D for D in range(1, N) if (N - 1) % D == 0):
+                eta = counting._gauss_periods(D, modulus)
+                want = np.array([sum(phases[j::D]) for j in range(D)])
+                assert eta.shape == (D,) and np.max(np.abs(eta - want)) < 1e-9, (N, D)
+                cases += 1
+        assert cases == 689
+
+
+class TestWorkingMemory:
+    """The Fourier count and exp_sum hold no N-sized array (numpy reports its buffers)."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: count_solutions_fourier(3, 3, 3, 1000033),
+            lambda: exp_sum(1, 2, 1000003),
+            lambda: exp_sum(1, 1000002, 1000003),  # d = N-1: one period of a 1-element subgroup
+        ],
+        ids=["count_solutions_fourier", "exp_sum", "exp_sum_d_N-1"],
+    )
+    def test_peak_below_4_mib(self, call):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20, peak
 
 
 class TestExactCount:

@@ -123,16 +123,16 @@ class Ciphertext:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise SchemeMismatch(f"unknown scheme {self.scheme!r}")
+        if (self.ctx_indices is not None) != (self.scheme == "III"):
+            raise ValueError("scheme III, and only scheme III, records context indices")
         if self.ctx_indices is not None and len(self.ctx_indices) != len(self.pairs):
             raise ValueError("one context index per pair required")
 
     def to_text(self) -> str:
         lines = [f"BSCT v1 scheme={self.scheme} blocks={len(self.pairs)}"]
         for i, (x, y) in enumerate(self.pairs):
-            if self.ctx_indices is not None:
-                lines.append(f"{x} {y} {self.ctx_indices[i]}")
-            else:
-                lines.append(f"{x} {y}")
+            tail = "" if self.ctx_indices is None else f" {index(self.ctx_indices[i])}"
+            lines.append(f"{index(x)} {index(y)}{tail}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -280,8 +280,6 @@ def decrypt_III(ct: Ciphertext, contexts, split) -> bytes:
     n = len(contexts)
     ctxs = [_context(c) for c in contexts]
     order = _check_split(split, n)
-    if ct.ctx_indices is None:
-        raise PartitionMismatch("scheme III ciphertext lacks context indices")
     tagged = zip(ct.pairs, ct.ctx_indices)
     runs = [(i, [pair for pair, _ in run]) for i, run in groupby(tagged, itemgetter(1))]
     # empty segments produce no pairs, so they have no run

@@ -8,10 +8,6 @@ Every domain failure raises a named subclass of BealSchurError so callers
 class BealSchurError(Exception):
     """Base class for all domain errors raised by this package."""
 
-    @property
-    def name(self) -> str:
-        return type(self).__name__
-
 
 # -- modular arithmetic ------------------------------------------------------
 

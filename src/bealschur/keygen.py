@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import index
 
 from .errors import (
     BoundsInfeasible,
@@ -191,9 +192,26 @@ def serialize_key(key: KeyPair, role: str) -> str:
 
 
 def serialize_fields(scheme: str, role: str, fields: dict[str, int]) -> str:
-    """BSKEY rendering for raw field maps (used for scheme I/II/III files)."""
+    """BSKEY rendering for raw field maps (used for scheme I/II/III files);
+    fields not in a _FIELD_ORDERS layout raise MalformedKeyFile."""
+    try:
+        orders = _FIELD_ORDERS[(scheme, role)]
+    except KeyError:
+        raise MalformedKeyFile(f"no layout for scheme {scheme!r} role {role!r}") from None
+    if scheme == "III":
+        names, n = orders[0], fields.get("n")
+        # the count check comes first, so n never builds more names than fields holds
+        if n is None or len(fields) != 1 + len(names) * n:
+            raise MalformedKeyFile(
+                f"scheme III {role} needs n=<count> and n groups of {names}"
+            )
+        orders = (("n", *(f"{name}{i}" for i in range(1, n + 1) for name in names)),)
+    if tuple(fields) not in orders:
+        raise MalformedKeyFile(
+            f"scheme {scheme} {role} fields {list(fields)} not in a canonical order"
+        )
     lines = [f"BSKEY v1 {role} scheme={scheme}"]
-    lines += [f"{name}={value}" for name, value in fields.items()]
+    lines += [f"{name}={index(value)}" for name, value in fields.items()]
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -206,10 +224,6 @@ def parse_key(text: str) -> KeyHalf:
     if len(header) != 4:
         raise MalformedKeyFile(f"bad header {lines[:1]}")
     role, scheme = header[2], header[3].removeprefix("scheme=")
-    try:
-        orders = _FIELD_ORDERS[(scheme, role)]
-    except KeyError:
-        raise MalformedKeyFile(f"no layout for scheme {scheme!r} role {role!r}") from None
     fields: dict[str, int] = {}
     for ln in lines[1:-1]:  # the round trip checks the BSKEY v1 tokens and the end line
         name, _, value = ln.partition("=")
@@ -219,19 +233,7 @@ def parse_key(text: str) -> KeyHalf:
             fields[name] = int(value)
         except ValueError:
             raise MalformedKeyFile(f"bad field line {ln!r}") from None
-    if scheme == "III":
-        names, n = orders[0], fields.get("n")
-        # the count check comes first, so n never sizes more than the file holds
-        if n is None or len(fields) != 1 + len(names) * n:
-            raise MalformedKeyFile(
-                f"scheme III {role} needs n=<count> and n groups of {names}"
-            )
-        orders = (("n", *(f"{name}{i}" for i in range(1, n + 1) for name in names)),)
-    if tuple(fields) not in orders:
-        raise MalformedKeyFile(
-            f"scheme {scheme} {role} fields {list(fields)} not in a canonical order"
-        )
-    if serialize_fields(scheme, role, fields) != text:
+    if serialize_fields(scheme, role, fields) != text:  # the writer checks the layout
         raise MalformedKeyFile("not the canonical text of its fields")
     return KeyHalf(scheme=scheme, role=role, fields=fields)
 

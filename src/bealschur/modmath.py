@@ -6,13 +6,14 @@ bases 2..41 (``is_probable_prime``), and so does residuosity (``_is_power``:
 the Jacobi symbol at d = 2, Euler's criterion above).  With d = gcd(k, N-1),
 when gcd(k, (N-1)/d) = 1 the k-th root is c^e, e = k^-1 mod (N-1)/d, one
 exponentiation (this covers d = 1 and d = 2 with N = 3 mod 4).  That is the
-root an Adleman-Manders-Miller extraction returns there, so given a caller's
-``random.Random`` the root helper replays AMM's non-residue draws and leaves
-the generator in the same state.  Otherwise AMM runs prime power by prime
-power through d, recombining the roots by modular inverses.  ``all_kth_roots``
-turns one root into all d from the element of order d cached per (d, N)
-(``_unity``).  AMM's non-residues, generators and ``_unity`` each take the
-first draw that is a pi-th power for no pi in a set of primes (``_non_power``).
+root an Adleman-Manders-Miller extraction returns there.  Otherwise AMM runs
+prime power by prime power through d, recombining the roots by modular
+inverses.  Both paths take AMM's draws from a caller's ``random.Random``
+through one function (``_amm_draws``), so both leave it in the same state.
+``all_kth_roots`` turns one root into all d from the element of order d
+cached per (d, N) (``_unity``).  AMM's non-residues, generators and
+``_unity`` each take the first draw that is a pi-th power for no pi in a set
+of primes (``_non_power``).
 A caller's value must be an integer (``operator.index``, so a float raises
 TypeError) or a Residue of the same modulus (else MixedModuli).
 
@@ -295,8 +296,15 @@ def _non_power(primes, N: int, rng: random.Random) -> int:
     raise NonResidue(f"no non-power for the primes {list(primes)} mod {N} in 4096 draws")
 
 
-def _prime_root(c: int, pi: int, N: int, rng: random.Random) -> int:
-    """One pi-th root of the pi-th residue c mod N (pi prime, pi | N-1).
+def _amm_draws(d: int, N: int, rng: random.Random) -> dict[int, list[int]]:
+    """AMM's non-residue draws for a d-th root mod N: for each pi^a || d, in
+    factorize(d, rng) order, the 1 + a draws _non_power((pi,), N, rng)."""
+    primes = factorize(d, rng)
+    return {pi: [_non_power((pi,), N, rng) for _ in range(1 + a)] for pi, a in primes.items()}
+
+
+def _prime_root(c: int, pi: int, N: int, u: int) -> int:
+    """One pi-th root of the pi-th residue c mod N (prime pi | N-1); u is no pi-th power.
 
     Adleman-Manders-Miller: split N-1 = pi^s * m, guess via the inverse of
     pi mod m, then correct inside the pi^s-torsion subgroup by digit-wise
@@ -306,7 +314,7 @@ def _prime_root(c: int, pi: int, N: int, rng: random.Random) -> int:
     while m % pi == 0:
         s += 1
         m //= pi
-    b = pow(_non_power((pi,), N, rng), m, N)  # order exactly pi^s
+    b = pow(u, m, N)  # order exactly pi^s
     y = pow(c, pow(pi, -1, m), N)  # at m = 1, pow(pi, -1, 1) = 0 and y = 1
     t = c * pow(y, -pi, N) % N  # lies in <b>, and is a pi-th power there
     gamma = pow(b, pi ** (s - 1), N)  # primitive pi-th root of unity
@@ -327,13 +335,12 @@ def _prime_root(c: int, pi: int, N: int, rng: random.Random) -> int:
     return y * pow(b, e // pi, N) % N
 
 
-def _prime_power_root(c: int, pi: int, a: int, N: int, rng: random.Random) -> int:
-    """One pi^a-th root of c mod N; c must be a pi^a-th residue, pi^a | N-1."""
-    n = N - 1
-    zeta = pow(_non_power((pi,), N, rng), n // pi, N)  # order pi
+def _prime_power_root(c: int, pi: int, N: int, draws: list[int]) -> int:
+    """One pi^a-th root of the pi^a-th residue c mod N (pi^a | N-1), a = len(draws) - 1."""
+    zeta = pow(draws[0], (N - 1) // pi, N)  # order pi
     t = c
-    for remaining in range(a - 1, -1, -1):
-        w = _prime_root(t, pi, N, rng)
+    for remaining, u in zip(reversed(range(len(draws) - 1)), draws[1:]):
+        w = _prime_root(t, pi, N, u)
         if remaining > 0:
             # steer onto a pi^remaining-th residue; some pi-th root of t is one
             for _ in range(pi):
@@ -341,7 +348,7 @@ def _prime_power_root(c: int, pi: int, a: int, N: int, rng: random.Random) -> in
                     break
                 w = w * zeta % N
             else:
-                raise NonResidue(f"{c} is not a {pi**a}th residue mod {N}")
+                raise NonResidue(f"{c} is not a {pi ** (len(draws) - 1)}th residue mod {N}")
         t = w
     return t
 
@@ -351,10 +358,10 @@ def _one_root(c: int, k: int, N: int, rng: random.Random | None) -> int:
 
     With d = gcd(k, N-1) and gcd(k, (N-1)/d) = 1, every prime pi | d has
     v_pi(N-1) = v_pi(d), so AMM's correction digits are all 0 and it
-    returns exactly c^e, e = k^-1 mod (N-1)/d; its draws only advance the
-    rng, so they are replayed: factorize(d), then 1 + a non-residue draws
-    for each pi^a || d.  Otherwise AMM runs on y^d = c^alpha, prime power by
-    prime power, with a fixed-seed rng if none is given.
+    returns exactly c^e, e = k^-1 mod (N-1)/d; its draws (_amm_draws) only
+    advance the rng, so they are made and dropped.  Otherwise AMM runs on
+    y^d = c^alpha, prime power by prime power, on the same _amm_draws from a
+    fixed-seed rng if none is given.
     """
     n = N - 1
     d = math.gcd(k, n)
@@ -364,22 +371,19 @@ def _one_root(c: int, k: int, N: int, rng: random.Random | None) -> int:
         if pow(y, k, N) != c:
             raise NonResidue(f"{c} is not a {k}th residue mod {N}")
         if rng is not None:
-            for pi, a in factorize(d, rng).items():
-                for _ in range(1 + a):
-                    _non_power((pi,), N, rng)
+            _amm_draws(d, N, rng)
         return y
     if not _is_power(c, d, N):
         raise NonResidue(f"{c} is not a {k}th residue mod {N}")
-    rng = rng or random.Random(_FALLBACK_SEED)
     # same solution set as y^k = c, since c is a residue
     target = pow(c, pow(k // d, -1, m), N)
     # root_i^s_i = target for s_i = pi^a; u_i = (d/s_i)^-1 mod s_i gives
     # sum u_i d/s_i = 1 + j d, so y = target^-j prod root_i^u_i has y^d = target
     y, excess = 1, -1
-    for pi, a in factorize(d, rng).items():
-        s = pi**a
+    for pi, draws in _amm_draws(d, N, rng or random.Random(_FALLBACK_SEED)).items():
+        s = pi ** (len(draws) - 1)
         u = pow(d // s, -1, s)
-        y = y * pow(_prime_power_root(target, pi, a, N, rng), u, N) % N
+        y = y * pow(_prime_power_root(target, pi, N, draws), u, N) % N
         excess += u * (d // s)
     return y * pow(target, -(excess // d), N) % N
 
@@ -388,10 +392,10 @@ def kth_root_mod(c, k: int, N, rng: random.Random | None = None) -> Residue:
     """Some y with y**k = c (mod N); NonResidue, before any draw, if none.
 
     With d = gcd(k, N-1): when gcd(k, (N-1)/d) = 1 (always when d = 1),
-    y = c^(k^-1 mod (N-1)/d) and the draws an Adleman-Manders-Miller
-    extraction would make are replayed on rng, so seeded callers consume it
-    exactly as AMM does.  Otherwise AMM solves y^d prime power by prime
-    power, recombining the roots by modular inverses.
+    y = c^(k^-1 mod (N-1)/d).  Otherwise Adleman-Manders-Miller solves y^d
+    prime power by prime power, recombining the roots by modular inverses.
+    Both paths take the same AMM draws from rng, so a seeded caller's
+    generator ends in the same state whichever path runs.
     """
     cv, Nv = _checked_input(c, k, N)
     if cv == 0:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bealschur.crypto import (
+    SCHEMES,
     Ciphertext,
     block_capacity,
     decode_message,
@@ -458,5 +459,29 @@ class TestCiphertextFormat:
         try:
             ct = Ciphertext.from_text(text)
         except SchemeMismatch:
+            return
+        assert Ciphertext.from_text(ct.to_text()) == ct
+
+    @pytest.mark.parametrize(
+        "scheme,indices", [("I", (1,)), ("II", (1,)), ("III", None)], ids=["I", "II", "III"]
+    )
+    def test_context_indices_only_in_scheme3(self, scheme, indices):
+        with pytest.raises(ValueError):
+            Ciphertext(scheme, ((1, 2),), indices)
+
+    def test_writer_refuses_non_integer_value(self):
+        with pytest.raises(TypeError):
+            Ciphertext("I", ((1.5, 2),)).to_text()
+
+    @given(
+        scheme=st.sampled_from(SCHEMES),
+        pairs=st.lists(st.tuples(st.integers(-5, 10**6), st.integers(-5, 10**6)), max_size=4),
+        indexed=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_writer_output_parses_back(self, scheme, pairs, indexed):
+        try:
+            ct = Ciphertext(scheme, tuple(pairs), tuple(range(len(pairs))) if indexed else None)
+        except ValueError:
             return
         assert Ciphertext.from_text(ct.to_text()) == ct

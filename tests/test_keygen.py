@@ -281,6 +281,42 @@ class TestSerialization:
             return
         assert serialize_fields(h.scheme, h.role, h.fields) == text
 
+    @pytest.mark.parametrize(
+        "scheme,role,fields",
+        [
+            ("I", "PUBLIC", {"r": 2}),
+            ("I", "PUBLIC", {"N": 65537, "r": 2}),
+            ("KG2L", "PUBLIC", {"p": 2, "q": 2, "r": 2, "x": 1, "y": 3}),
+            ("III", "PRIVATE", {"n": 2, "N1": 65537}),
+        ],
+        ids=["missing-field", "reordered", "unknown-scheme-role", "scheme3-count"],
+    )
+    def test_writer_refuses_what_reader_refuses(self, scheme, role, fields):
+        with pytest.raises(MalformedKeyFile):
+            serialize_fields(scheme, role, fields)
+        lines = [f"BSKEY v1 {role} scheme={scheme}", *(f"{k}={v}" for k, v in fields.items())]
+        with pytest.raises(MalformedKeyFile):
+            parse_key("\n".join([*lines, "end"]) + "\n")
+
+    def test_writer_refuses_non_integer_value(self):
+        with pytest.raises(TypeError):
+            serialize_fields("I", "PRIVATE", {"p": 2.0, "q": 2})
+
+    @given(
+        scheme=st.sampled_from(["KG1", "KG2", "KG2L", "I", "II", "III"]),
+        role=st.sampled_from(["PUBLIC", "PRIVATE", "SECRET"]),
+        names=st.lists(st.sampled_from(_NAMES), unique=True, max_size=5),
+        n=st.integers(-1, 2),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_writer_output_parses_back(self, scheme, role, names, n):
+        fields = {name: n if name == "n" else 100 + i for i, name in enumerate(names)}
+        try:
+            text = serialize_fields(scheme, role, fields)
+        except MalformedKeyFile:
+            return
+        assert parse_key(text) == KeyHalf(scheme, role, fields)
+
     @given(seed=st.integers(0, 2**32), variant=st.sampled_from(["KG1", "KG2", "KG2L"]))
     @settings(max_examples=30, deadline=None)
     def test_serialize_parse_assemble_roundtrip(self, seed, variant):

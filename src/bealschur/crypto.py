@@ -127,6 +127,8 @@ class Ciphertext:
             raise ValueError("scheme III, and only scheme III, records context indices")
         if self.ctx_indices is not None and len(self.ctx_indices) != len(self.pairs):
             raise ValueError("one context index per pair required")
+        if any(len(pair) != 2 for pair in self.pairs):
+            raise ValueError("every pair holds exactly two values")
 
     def to_text(self) -> str:
         lines = [f"BSCT v1 scheme={self.scheme} blocks={len(self.pairs)}"]

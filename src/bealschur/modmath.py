@@ -7,9 +7,11 @@ the Jacobi symbol at d = 2, Euler's criterion above).  With d = gcd(k, N-1),
 when gcd(k, (N-1)/d) = 1 the k-th root is c^e, e = k^-1 mod (N-1)/d, one
 exponentiation (this covers d = 1 and d = 2 with N = 3 mod 4).  That is the
 root an Adleman-Manders-Miller extraction returns there.  Otherwise AMM runs
-prime power by prime power through d, recombining the roots by modular
-inverses.  Both paths take AMM's draws from a caller's ``random.Random``
-through one function (``_amm_draws``), so both leave it in the same state.
+prime power by prime power through d, a chain of pi-th roots per pi^a || d
+(any pi-th root of a pi^j-th power is a pi^(j-1)-th power when pi^j | N-1),
+recombining the roots by modular inverses.  Both paths take AMM's draws from
+a caller's ``random.Random`` through one function (``_amm_draws``), so both
+leave it in the same state.
 ``all_kth_roots`` turns one root into all d from the element of order d
 cached per (d, N) (``_unity``).  AMM's non-residues, generators and
 ``_unity`` each take the first draw that is a pi-th power for no pi in a set
@@ -204,8 +206,6 @@ def factorize(n: int, rng: random.Random | None = None) -> dict[int, int]:
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_probable_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue
@@ -298,9 +298,10 @@ def _non_power(primes, N: int, rng: random.Random) -> int:
 
 def _amm_draws(d: int, N: int, rng: random.Random) -> dict[int, list[int]]:
     """AMM's non-residue draws for a d-th root mod N: for each pi^a || d, in
-    factorize(d, rng) order, the 1 + a draws _non_power((pi,), N, rng)."""
+    factorize(d, rng) order, the last a of 1 + a draws _non_power((pi,), N, rng).
+    The first draw per prime is made only so a seeded rng ends in the same state."""
     primes = factorize(d, rng)
-    return {pi: [_non_power((pi,), N, rng) for _ in range(1 + a)] for pi, a in primes.items()}
+    return {pi: [_non_power((pi,), N, rng) for _ in range(1 + a)][1:] for pi, a in primes.items()}
 
 
 def _prime_root(c: int, pi: int, N: int, u: int) -> int:
@@ -308,7 +309,8 @@ def _prime_root(c: int, pi: int, N: int, u: int) -> int:
 
     Adleman-Manders-Miller: split N-1 = pi^s * m, guess via the inverse of
     pi mod m, then correct inside the pi^s-torsion subgroup by digit-wise
-    discrete log base a subgroup generator.
+    discrete log base a subgroup generator.  As c is a pi-th power, each digit
+    is found and the log is a multiple of pi.
     """
     s, m = 0, N - 1
     while m % pi == 0:
@@ -327,30 +329,8 @@ def _prime_root(c: int, pi: int, N: int, u: int) -> int:
             if acc == w:
                 break
             acc = acc * gamma % N
-        else:
-            raise NonResidue(f"{c} is not a {pi}th residue mod {N}")
         e += digit * pi**j
-    if e % pi != 0:
-        raise NonResidue(f"{c} is not a {pi}th residue mod {N}")
     return y * pow(b, e // pi, N) % N
-
-
-def _prime_power_root(c: int, pi: int, N: int, draws: list[int]) -> int:
-    """One pi^a-th root of the pi^a-th residue c mod N (pi^a | N-1), a = len(draws) - 1."""
-    zeta = pow(draws[0], (N - 1) // pi, N)  # order pi
-    t = c
-    for remaining, u in zip(reversed(range(len(draws) - 1)), draws[1:]):
-        w = _prime_root(t, pi, N, u)
-        if remaining > 0:
-            # steer onto a pi^remaining-th residue; some pi-th root of t is one
-            for _ in range(pi):
-                if _is_power(w, pi**remaining, N):
-                    break
-                w = w * zeta % N
-            else:
-                raise NonResidue(f"{c} is not a {pi ** (len(draws) - 1)}th residue mod {N}")
-        t = w
-    return t
 
 
 def _one_root(c: int, k: int, N: int, rng: random.Random | None) -> int:
@@ -359,9 +339,10 @@ def _one_root(c: int, k: int, N: int, rng: random.Random | None) -> int:
     With d = gcd(k, N-1) and gcd(k, (N-1)/d) = 1, every prime pi | d has
     v_pi(N-1) = v_pi(d), so AMM's correction digits are all 0 and it
     returns exactly c^e, e = k^-1 mod (N-1)/d; its draws (_amm_draws) only
-    advance the rng, so they are made and dropped.  Otherwise AMM runs on
-    y^d = c^alpha, prime power by prime power, on the same _amm_draws from a
-    fixed-seed rng if none is given.
+    advance the rng, so they are made and dropped.  Otherwise AMM solves
+    y^d = c^alpha by a chain of a pi-th roots per pi^a || d, one per draw of
+    _amm_draws (rng's, or a fixed seed's); any pi-th root serves, as every
+    pi-th root of a pi^j-th power is a pi^(j-1)-th power when pi^j | N-1.
     """
     n = N - 1
     d = math.gcd(k, n)
@@ -381,9 +362,12 @@ def _one_root(c: int, k: int, N: int, rng: random.Random | None) -> int:
     # sum u_i d/s_i = 1 + j d, so y = target^-j prod root_i^u_i has y^d = target
     y, excess = 1, -1
     for pi, draws in _amm_draws(d, N, rng or random.Random(_FALLBACK_SEED)).items():
-        s = pi ** (len(draws) - 1)
+        s = pi ** len(draws)
         u = pow(d // s, -1, s)
-        y = y * pow(_prime_power_root(target, pi, N, draws), u, N) % N
+        root = target
+        for v in draws:
+            root = _prime_root(root, pi, N, v)
+        y = y * pow(root, u, N) % N
         excess += u * (d // s)
     return y * pow(target, -(excess // d), N) % N
 

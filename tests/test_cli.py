@@ -212,7 +212,9 @@ class TestRootCommand:
         assert out.strip() == "root=2"
 
     # stdout recorded before roots were taken by replaying AMM's draws; on
-    # the 2^61 - 1 fallback path the root depends on the seed
+    # the 2^61 - 1 fallback path the root depends on the seed.  The
+    # 998244353 cases (d = 16, v_2(N-1) = 23) were recorded before AMM's
+    # unused root-of-unity steering was deleted
     @pytest.mark.parametrize(
         "c,k,modulus,seed,expected",
         [
@@ -223,6 +225,8 @@ class TestRootCommand:
             (303761141636210308, 6, 2**61 - 1, 0, 267409903359626111),
             (303761141636210308, 6, 2**61 - 1, 3, 2038433137269994375),
             (29557132031453401, 6, 2**61 - 1, 7, 1973310135770476191),
+            (575958230, 16, 998244353, 0, 291783696),
+            (575958230, 16, 998244353, 3, 864236509),
         ],
     )
     def test_seeded_root_pinned(self, capsys, c, k, modulus, seed, expected):
@@ -385,6 +389,20 @@ class TestEncryptDecryptFiles:
         )
         assert code == 3
         assert "error: PartitionMismatch" in err
+
+    def test_scheme3_halves_disagreeing_on_n_are_domain_error(self, capsys, tmp_path):
+        pub, priv = write_scheme3_keys(tmp_path)
+        two = {"n": 2, "N1": PRIME_66_BIT, "N2": PRIME_57_BIT}
+        priv.write_text(serialize_fields("III", "PRIVATE", two))
+        msg = tmp_path / "m.bin"
+        msg.write_bytes(b"abcd")
+        code, _, err = invoke(
+            capsys, "encrypt", "--scheme", "III", "--pub", str(pub), "--priv", str(priv),
+            "--partition", "2,1,1", "--in", str(msg), "--out", str(tmp_path / "m.ct"),
+        )
+        assert code == 3
+        assert "error: PartitionMismatch" in err
+        assert not (tmp_path / "m.ct").exists()
 
     @pytest.mark.parametrize("fault", ["scheme", "role"])
     @pytest.mark.parametrize("half", ["public", "private"])

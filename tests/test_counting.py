@@ -20,7 +20,7 @@ from bealschur.counting import (
     trivial_upper_bound,
     verify_bound_chain,
 )
-from bealschur.errors import ModulusTooLarge, NotPrime
+from bealschur.errors import InvalidContext, ModulusTooLarge, NotPrime
 from bealschur.modmath import PrimeModulus, find_generator
 from bealschur.triplets import BSContext, is_bs_triplet
 
@@ -102,6 +102,10 @@ class TestExpSum:
         with pytest.raises(TypeError):
             exp_sum(1.5, 2, 13)
         assert type(exp_sum(np.int64(1), 2, 13).k) is int
+
+    def test_frequency_outside_field_refused(self):
+        with pytest.raises(ValueError, match="k must lie in"):
+            exp_sum(13, 2, 13)
 
     def test_triangle_inequality(self, rng):
         for _ in range(50):
@@ -589,6 +593,10 @@ class TestBoundChain:
     def test_witness_matches_brute_force(self, p, q, r, N):
         w = verify_bound_chain(BSContext.create(p, q, r, N)).witness
         assert (w.x.value, w.y.value, w.z.value) == brute_force_witness(p, q, r, N)
+
+    def test_tuple_context_refused(self):
+        with pytest.raises(InvalidContext):
+            verify_bound_chain((2, 2, 2, 2053))
 
     def test_witness_at_2053(self):
         assert brute_force_witness(2, 2, 2, 2053) == (1, 3, 808)

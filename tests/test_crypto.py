@@ -146,6 +146,20 @@ class TestMessageCoding:
         with pytest.raises(MalformedPadding):
             decode_message(blocks[:-1], PRIME_66_BIT)
 
+    @pytest.mark.parametrize(
+        "payloads,N",
+        [
+            ([b"\x00"], FERMAT_65537),  # one 1-byte block: shorter than the length prefix
+            ([b"\x00\x00\x00\x01a\x00\x05"], PRIME_66_BIT),  # "a", then padding 00 05
+        ],
+        ids=["shorter-than-prefix", "nonzero-padding"],
+    )
+    def test_malformed_stream_refused(self, payloads, N):
+        # checksummed blocks, so only the stream layout is at fault
+        blocks = [int.from_bytes(b + bytes([(sum(b) + len(b)) % 251]), "big") for b in payloads]
+        with pytest.raises(MalformedPadding):
+            decode_message(blocks, N)
+
 
 class TestSchemeI:
     def test_roundtrip_seeded(self, rng):
@@ -286,6 +300,15 @@ class TestSchemeIII:
         ct1 = encrypt_I(msg, (2, PRIME_66_BIT), (2, 2), random.Random(12))
         assert ct3.pairs == ct1.pairs
 
+    def test_scheme_tag_checked(self):
+        ct = encrypt_I(b"x", *KEYS_I, random.Random(1))
+        with pytest.raises(SchemeMismatch):
+            decrypt_III(ct, CONTEXTS_III, self.SPLIT)
+
+    def test_one_context_per_segment(self):
+        with pytest.raises(PartitionMismatch):
+            encrypt_III(b"abcd", [2, 2], CONTEXTS_III[:1], ([1], [2]), random.Random(0))
+
     def test_partition_must_cover_message(self):
         with pytest.raises(PartitionMismatch):
             encrypt_III(b"abcd", [1, 1], CONTEXTS_III[:2], ([1], [2]), random.Random(0))
@@ -416,6 +439,7 @@ class TestCiphertextFormat:
             "BSCT v1 scheme=I blocks=one\n1 2\n",
             "BSCT v1 scheme=III blocks=1\n1 2 3 4\n",
             "BSCT v1 scheme=I blocks=1\n1 two\n",
+            "BSCT v1 scheme=IV blocks=0\n",
         ],
     )
     def test_malformed_text_rejected(self, text):
@@ -463,11 +487,20 @@ class TestCiphertextFormat:
         assert Ciphertext.from_text(ct.to_text()) == ct
 
     @pytest.mark.parametrize(
-        "scheme,indices", [("I", (1,)), ("II", (1,)), ("III", None)], ids=["I", "II", "III"]
+        "scheme,pairs,indices",
+        [
+            ("I", ((1, 2),), (1,)),
+            ("II", ((1, 2),), (1,)),
+            ("III", ((1, 2),), None),
+            ("III", ((1, 2), (3, 4)), (1,)),
+            ("I", ((1, 2, 3),), None),
+            ("III", ((1,),), (1,)),
+        ],
+        ids=["I", "II", "III", "III-short-indices", "I-triple", "III-single"],
     )
-    def test_context_indices_only_in_scheme3(self, scheme, indices):
+    def test_constructor_refuses_bad_layout(self, scheme, pairs, indices):
         with pytest.raises(ValueError):
-            Ciphertext(scheme, ((1, 2),), indices)
+            Ciphertext(scheme, pairs, indices)
 
     def test_writer_refuses_non_integer_value(self):
         with pytest.raises(TypeError):

@@ -378,6 +378,38 @@ class TestSerialization:
             assemble_keypair(halves["PUBLIC"], halves["PRIVATE"])
         assert err.value.check == "canonical"
 
+    @pytest.mark.parametrize(
+        "pub,priv,check,detail",
+        [
+            (
+                KeyHalf("KG1", "PUBLIC", {"N": 1000003, "z": 5}),
+                KeyHalf("KG2", "PRIVATE", {"N": 1000003, "x": 3, "y": 4}),
+                "scheme-match", "KG1 public with KG2 private",
+            ),
+            (
+                KeyHalf("KG2", "PUBLIC", {"p": 2, "q": 2, "r": 2, "x": 3, "y": 4}),
+                KeyHalf("KG2", "PRIVATE", {"N": 1000003, "x": 5, "y": 4}),
+                "field-consistency", "x differs",
+            ),
+            (
+                KeyHalf("KG1", "PUBLIC", {"N": 1000003, "z": 5}),
+                KeyHalf("KG1", "PRIVATE", {"p": 2, "q": 2, "r": 2, "x": 0, "y": 5}),
+                "nontrivial", "N divides",
+            ),
+            # 1 + 1 = 2 is no square mod 1000003 = 3 (mod 8), so no z exists
+            (
+                KeyHalf("KG2", "PUBLIC", {"p": 2, "q": 2, "r": 2, "x": 1, "y": 1}),
+                KeyHalf("KG2", "PRIVATE", {"N": 1000003, "x": 1, "y": 1}),
+                "bs-congruence", "has no 2th root",
+            ),
+        ],
+        ids=["scheme-match", "field-consistency", "nontrivial", "no-z"],
+    )
+    def test_hand_made_halves_name_their_check(self, pub, priv, check, detail):
+        with pytest.raises(InvariantViolated, match=detail) as err:
+            assemble_keypair(pub, priv)
+        assert err.value.check == check
+
     def test_role_mismatch(self):
         key = keygen_scheme1(*BOUNDS, random.Random(17))
         pub = parse_key(serialize_key(key, "PUBLIC"))

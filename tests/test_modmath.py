@@ -38,9 +38,10 @@ SMALL_PRIMES = sieve_primes(101)
 ROOT_EXPONENTS = (2, 3, 4, 6)
 
 # (N, k) for the AMM replay oracle: d = gcd(k, N-1) is 2, 2, 2 and 6 (two
-# primes) with gcd(k, (N-1)/d) = 1, then three contexts where it is not, the
-# last with d = 30 (three primes; N - 1 = 2^4 3^2 5^2 ...) recombined from
-# three prime-power roots
+# primes) with gcd(k, (N-1)/d) = 1, then five contexts where it is not: two
+# with d = 6 and 8, one with d = 30 (three primes; N - 1 = 2^4 3^2 5^2 ...)
+# recombined from three prime-power roots, and d = 16 with v_2(N-1) = 23 and
+# d = 27 with v_3(N-1) = 5, chains of four square and three cube roots
 REPLAY_CONTEXTS = [
     (PRIME_66_BIT, 2),
     (PRIME_74_BIT, 4),
@@ -49,6 +50,8 @@ REPLAY_CONTEXTS = [
     (2**61 - 1, 6),
     (1000033, 8),
     (999999997201, 30),
+    (998244353, 16),
+    (1000000891, 27),
 ]
 
 

@@ -207,6 +207,15 @@ class TestRealSolver:
         with pytest.raises(DegenerateInput):
             solve_real_beal(y=2.0, z=2.0, p=4.0, q=3.0, r=3.0)
 
+    @pytest.mark.parametrize(
+        "y,z,p,q,r",
+        [(2.0, 3.0, 0.0, 3.0, 3.0), (-2.0, 3.0, 2.0, 2.5, 3.0)],
+        ids=["zero-exponent", "negative-base-fractional-exponent"],
+    )
+    def test_degenerate_exponents(self, y, z, p, q, r):
+        with pytest.raises(DegenerateInput):
+            solve_real_beal(y=y, z=z, p=p, q=q, r=r)
+
     def test_forbidden_base_values(self):
         for bad in (0.0, 1.0, -1.0):
             with pytest.raises(DegenerateInput):

@@ -7,11 +7,12 @@ gcd patterns count over a discrete-log table.  A Fourier-side evaluation
 through the exponential sums S_k(ell) = sum_x exp(2 pi i k x^ell / N), which
 for k != 0 are Gauss periods of one O(N) pass over a generator's powers, is a
 floating cross-check that runs only when SolutionCount.fourier is read
-(``count --fourier``).  The table and the power histograms index an N-sized
-array of a generator's powers g^k, k < N-1; the Gauss periods fold the same
-powers block by block in O(sqrt(N) + D) memory.  Only these use numpy, with
-N < 2^31 for exact int64 products.  verify_bound_chain evaluates the chain that
-forces a nontrivial solution once N > 32 p^2 q^2 r^2, and finds a witness.
+(``count --fourier``).  The table indexes an N-sized array of a generator's
+powers g^k, k < N-1, and a power histogram the (N-1)/d powers of g^d; the
+Gauss periods fold the same powers block by block in O(sqrt(N) + D) memory.
+Only these use numpy, with N < 2^31 for exact int64 products.
+verify_bound_chain evaluates the chain that forces a nontrivial solution once
+N > 32 p^2 q^2 r^2, and finds a witness.
 """
 
 from __future__ import annotations
@@ -100,14 +101,14 @@ def power_histogram(ell: int, N) -> PowerHistogram:
     """Frequency table of x -> x^ell mod N, in O(N) steps.
 
     With d = gcd(ell, N-1), the nonzero ell-th powers are the (N-1)/d
-    powers g^(d k) of a generator g, each attained d times; 0 maps to 0.
+    powers of g^d for a generator g, each attained d times; 0 maps to 0.
     """
     import numpy as np
     modulus = _array_modulus(N, ell)
     Nv = modulus.value
     d = math.gcd(ell, Nv - 1)
     freq = np.zeros(Nv, dtype=np.int64)
-    freq[_generator_powers(modulus)[::d]] = d
+    freq[next(_power_blocks(pow(find_generator(modulus), d, Nv), (Nv - 1) // d, Nv))] = d
     freq[0] = 1
     return PowerHistogram(ell=ell, modulus=Nv, freq=freq)
 
@@ -371,15 +372,8 @@ class ChainCheck:
 class BoundChainReport:
     """Outcome of the nontrivial-solution bound chain for one context."""
 
-    p: int
-    q: int
-    r: int
-    N: int
     total: int
-    trivial: int
     nontrivial: int
-    lower_bound: float
-    trivial_upper: int
     checks: list[ChainCheck] = field(default_factory=list)
     witness: BSTriplet | None = None
 
@@ -464,14 +458,5 @@ def verify_bound_chain(ctx: BSContext) -> BoundChainReport:
         ChainCheck("count-beats-linear", M, ">", lin, M > lin),
         ChainCheck("count-beats-trivial-cap", M, ">", tub, M > tub),
     ]
-    witness = _find_nontrivial_witness(ctx)
-    return BoundChainReport(
-        p=p, q=q, r=r, N=N,
-        total=M,
-        trivial=counts.trivial,
-        nontrivial=counts.nontrivial,
-        lower_bound=lower,
-        trivial_upper=tub,
-        checks=checks,
-        witness=witness,
-    )
+    return BoundChainReport(total=M, nontrivial=counts.nontrivial, checks=checks,
+                            witness=_find_nontrivial_witness(ctx))

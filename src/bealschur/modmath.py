@@ -12,6 +12,8 @@ prime power by prime power through d, a chain of pi-th roots per pi^a || d
 recombining the roots by modular inverses.  Both paths take AMM's draws from
 a caller's ``random.Random`` through one function (``_amm_draws``), so both
 leave it in the same state.
+``factorize`` is trial division below 10^6, then Pollard's rho with Floyd's
+cycle finding on the cofactor.
 ``all_kth_roots`` turns one root into all d from the element of order d
 cached per (d, N) (``_unity``).  AMM's non-residues, generators and
 ``_unity`` each take the first draw that is a pi-th power for no pi in a set
@@ -158,30 +160,16 @@ def is_probable_prime(n: int, rounds: int = DEFAULT_MR_ROUNDS) -> bool:
 # -- factorization (desk scale: trial division + Pollard rho) ----------------
 
 def _pollard_rho(n: int, rng: random.Random) -> int:
-    """A nontrivial factor of composite n (Brent's cycle variant)."""
+    """A nontrivial factor of composite n (Pollard's rho, Floyd's cycle finding)."""
     while True:
-        y = rng.randrange(1, n)
+        x = y = rng.randrange(1, n)
         c = rng.randrange(1, n)
-        m = 128
-        g = r = q = 1
+        g = 1
         while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            g = math.gcd(abs(x - y), n)
         if g != n:
             return g
 
@@ -198,10 +186,9 @@ def factorize(n: int, rng: random.Random | None = None) -> dict[int, int]:
             n //= p
     f = 7
     while f * f <= n and f < 10**6:
-        if n % f == 0:
-            while n % f == 0:
-                factors[f] = factors.get(f, 0) + 1
-                n //= f
+        while n % f == 0:
+            factors[f] = factors.get(f, 0) + 1
+            n //= f
         f += 2
     stack = [n] if n > 1 else []
     while stack:
@@ -309,8 +296,9 @@ def _prime_root(c: int, pi: int, N: int, u: int) -> int:
 
     Adleman-Manders-Miller: split N-1 = pi^s * m, guess via the inverse of
     pi mod m, then correct inside the pi^s-torsion subgroup by digit-wise
-    discrete log base a subgroup generator.  As c is a pi-th power, each digit
-    is found and the log is a multiple of pi.
+    discrete log base a subgroup generator.  As c is a pi-th power, t is a
+    power of b^pi, so the log's lowest digit is 0 and the search starts at the
+    next; each digit is found.
     """
     s, m = 0, N - 1
     while m % pi == 0:
@@ -320,9 +308,9 @@ def _prime_root(c: int, pi: int, N: int, u: int) -> int:
     y = pow(c, pow(pi, -1, m), N)  # at m = 1, pow(pi, -1, 1) = 0 and y = 1
     t = c * pow(y, -pi, N) % N  # lies in <b>, and is a pi-th power there
     gamma = pow(b, pi ** (s - 1), N)  # primitive pi-th root of unity
-    # digit-extract e with b^e = t, base-pi digits low to high
+    # digit-extract e with b^e = t, base-pi digits low to high from the second
     e = 0
-    for j in range(s):
+    for j in range(1, s):
         w = pow(t * pow(b, -e, N) % N, pi ** (s - 1 - j), N)
         acc = 1
         for digit in range(pi):

@@ -103,6 +103,19 @@ class TestCountCommand:
         fourier = float(next(ln for ln in lines if ln.startswith("fourier=")).split("=")[1])
         assert round(fourier) == m
 
+    def test_table_pattern_fourier_rounds_to_count(self, capsys):
+        # gcd pattern (6, 6, 6) has no closed form: the discrete-log table counts it,
+        # as in the packaging job
+        code, out, _ = invoke(
+            capsys, "count", "--p", "6", "--q", "6", "--r", "6", "--modulus", "2053",
+            "--fourier",
+        )
+        assert code == 0
+        first, fourier = out.splitlines()
+        assert first == "M=4617001 trivial=36937 nontrivial=4580064"
+        assert fourier.startswith("fourier=")
+        assert round(float(fourier.split("=")[1])) == 4617001
+
     def test_fourier_runs_only_on_request(self, capsys, monkeypatch):
         def refuse(*args):
             raise AssertionError("Fourier cross-check ran without --fourier")
@@ -195,6 +208,14 @@ class TestSumsCommand:
             capsys, "sums", "--k", "0", "--ell", "3", "--modulus", "11"
         )
         assert out.strip() == "S=11.000000000,0.000000000"
+
+    def test_phase_reduced_mod_n(self, capsys):
+        # k = N-1 at N = 1000003: the packaging job checks the same line
+        code, out, _ = invoke(
+            capsys, "sums", "--k", "1000002", "--ell", "2", "--modulus", "1000003"
+        )
+        assert code == 0
+        assert out == "S=0.000000000,-1000.001499999\n"
 
 
 class TestRootCommand:

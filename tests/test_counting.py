@@ -188,6 +188,16 @@ class TestWorkingMemory:
             tracemalloc.stop()
         assert peak < 4 << 20, peak
 
+    def test_power_histogram_holds_one_subgroup_beyond_its_table(self):
+        # the (N-1)/6 powers of g^6, not all N-1 powers of g
+        tracemalloc.start()
+        try:
+            hist = power_histogram(6, 2000113)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < hist.freq.nbytes + (4 << 20), peak
+
 
 class TestExactCount:
     def test_linear_case(self):

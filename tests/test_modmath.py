@@ -468,9 +468,21 @@ class TestGeneratorAndFactorization:
         assert factorize(2053) == {2053: 1}
         assert factorize(10403) == {101: 1, 103: 1}
 
-    def test_factorize_rho_path(self):
-        n = 1000003 * 1000033  # both prime, beyond the trial ladder
-        assert factorize(n) == {1000003: 1, 1000033: 1}
+    @pytest.mark.parametrize(
+        "n, expected",
+        [
+            (1000036000099, {1000003: 1, 1000033: 1}),
+            (1000039000207000297, {1000003: 2, 1000033: 1}),
+            (1000073001431003663, {1000003: 1, 1000033: 1, 1000037: 1}),
+            (8957424251969, {1060937: 1, 8442937: 1}),
+            (9444733215912546281111, {34359739151: 1, 274877907961: 1}),
+        ],
+        ids=["pq", "p2q", "pqr", "mid-size", "35-and-38-bit"],
+    )
+    def test_factorize_rho_path(self, n, expected):
+        # every prime factor lies beyond the trial ladder, so rho splits n;
+        # dicts compare without order, which depends on the factor rho finds
+        assert factorize(n) == expected
 
     def test_generator_has_full_order(self):
         for N in SMALL_PRIMES[1:]:

@@ -83,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, handler in (("encrypt", _cmd_encrypt), ("decrypt", _cmd_decrypt)):
         ps = sub.add_parser(name, help=f"{name} a file")
         ps.set_defaults(handler=handler)
-        ps.add_argument("--scheme", required=True, choices=["I", "II", "III"])
+        ps.add_argument("--scheme", required=True, choices=crypto.SCHEMES)
         ps.add_argument("--pub", required=True)
         ps.add_argument("--priv", required=True)
         ps.add_argument("--in", dest="infile", required=True)

@@ -78,17 +78,10 @@ def _power_blocks(a: int, count: int, N: int, D: int = 1, size: int | None = Non
         yield block.ravel()[: count - m * i]
 
 
-def _generator_powers(modulus: PrimeModulus) -> np.ndarray:
-    """[g^0, g^1, ..., g^(N-2)] mod N for a generator g, as one int64 array."""
-    return next(_power_blocks(find_generator(modulus), modulus.value - 1, modulus.value))
-
-
 @dataclass(frozen=True)
 class PowerHistogram:
-    """freq[a] = #{x in Z_N : x^ell = a (mod N)}."""
+    """freq[a] = #{x in Z_N : x^ell = a (mod N)}, for the ell and N it was built from."""
 
-    ell: int
-    modulus: int
     freq: np.ndarray
 
     @property
@@ -110,16 +103,14 @@ def power_histogram(ell: int, N) -> PowerHistogram:
     freq = np.zeros(Nv, dtype=np.int64)
     freq[next(_power_blocks(pow(find_generator(modulus), d, Nv), (Nv - 1) // d, Nv))] = d
     freq[0] = 1
-    return PowerHistogram(ell=ell, modulus=Nv, freq=freq)
+    return PowerHistogram(freq=freq)
 
 
 @dataclass(frozen=True)
 class ExpSum:
-    """S_k(ell) = sum_{x=0}^{N-1} exp(2 pi i k x^ell / N) with its provenance."""
+    """S_k(ell) = sum_{x=0}^{N-1} exp(2 pi i k x^ell / N) at the frequency k."""
 
     k: int
-    ell: int
-    modulus: int
     value: complex
 
 
@@ -135,7 +126,7 @@ def exp_sum(k: int, ell: int, N) -> ExpSum:
     if k:
         d = math.gcd(ell, Nv - 1)
         value = 1 + d * _gauss_periods(1, modulus, d, k)[0]
-    return ExpSum(k=k, ell=ell, modulus=Nv, value=complex(value))
+    return ExpSum(k=k, value=complex(value))
 
 
 _BLOCK = 1 << 13  # powers per block of _gauss_periods: about 0.5 MB of temporaries
@@ -168,7 +159,8 @@ def exp_sum_table(ell: int, N) -> np.ndarray:
     n = modulus.value - 1
     d = math.gcd(ell, n)
     table = np.full(n + 1, n + 1, dtype=np.complex128)  # S_0 = N; powers fill the rest
-    table[_generator_powers(modulus)] = np.tile(1 + d * _gauss_periods(d, modulus), n // d)
+    periods = np.tile(1 + d * _gauss_periods(d, modulus), n // d)
+    table[next(_power_blocks(find_generator(modulus), n, n + 1))] = periods
     return table
 
 
@@ -219,10 +211,6 @@ class SolutionCount:
     total: int
     trivial: int
     nontrivial: int
-
-    @property
-    def N(self) -> int:
-        return self.modulus.value
 
     @property
     def fourier(self) -> float:
@@ -314,7 +302,7 @@ def count_solutions_exact(p: int, q: int, r: int, N) -> SolutionCount:
     if T is None:
         import numpy as np
         ind = np.zeros(_array_modulus(modulus).value, dtype=np.int32)  # ind[g^k] = k
-        ind[_generator_powers(modulus)] = np.arange(n, dtype=np.int32)
+        ind[next(_power_blocks(find_generator(modulus), n, Nv))] = np.arange(n, dtype=np.int32)
         t, t1 = ind[1:-1], ind[2:]
         admissible = (t % gpq == 0) & (t1 % gpr == 0) & ((t - t1) % gqr == 0)
         T = int(np.count_nonzero(admissible))

@@ -91,8 +91,7 @@ def encode_message(msg: bytes, N) -> list[Residue]:
 
 def decode_message(blocks, N) -> bytes:
     """Inverse of encode_message; validates checksums, length and padding."""
-    Nm = as_prime_modulus(N)
-    capacity = block_capacity(Nm)
+    capacity = block_capacity(N)
     if not blocks:
         return b""
     stream = bytearray()
@@ -179,10 +178,9 @@ def _decrypt_blocks(pairs, ctx: BSContext) -> bytes:
             roots = all_kth_roots(c, ctx.r, ctx.modulus)
         except NonResidue:
             raise NoValidRoot(f"block {i}: x^p + y^q has no {ctx.r}th root")
-        candidates = sorted(root.value for root in roots)
-        valid = [z for z in candidates if _block_payload(z, capacity) is not None]
+        valid = [root.value for root in roots if _block_payload(root.value, capacity) is not None]
         if not valid:
-            raise NoValidRoot(f"block {i}: none of {len(candidates)} roots decode")
+            raise NoValidRoot(f"block {i}: none of {len(roots)} roots decode")
         if len(valid) > 1:
             raise AmbiguousRoot(f"block {i}: {len(valid)} roots pass the checksum")
         blocks.append(valid[0])

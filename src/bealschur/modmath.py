@@ -94,11 +94,11 @@ class PrimeModulus:
         return self.value
 
 
-def as_prime_modulus(n, rounds: int = DEFAULT_MR_ROUNDS) -> PrimeModulus:
+def as_prime_modulus(n) -> PrimeModulus:
     """Certify an integer as a PrimeModulus, or pass a PrimeModulus through."""
     if isinstance(n, PrimeModulus):
         return n
-    return PrimeModulus(n, rounds)
+    return PrimeModulus(n)
 
 
 def _residue_value(v, N: int) -> int:

@@ -393,6 +393,31 @@ class TestRootDisambiguation:
         assert ambiguous
         assert 65 in ambiguous  # the byte the abort test encrypts
 
+    @pytest.mark.parametrize("scheme", ["I", "II"])
+    @pytest.mark.parametrize(
+        "p,q,r,N,d",
+        [
+            (3, 3, 3, PRIME_66_BIT, 3),
+            (2, 2, 4, 36893488147419103397, 4),
+            (2, 4, 8, 36893488147419103457, 8),
+        ],
+    )
+    def test_many_roots_decrypt_or_abort(self, scheme, p, q, r, N, d):
+        # with d = gcd(r, N-1) >= 3 roots per block, decryption returns the
+        # plaintext or raises AmbiguousRoot: never another error, never wrong bytes
+        assert math.gcd(r, N - 1) == d
+        if scheme == "I":
+            keys, encrypt, decrypt = ((r, N), (p, q)), encrypt_I, decrypt_I
+        else:
+            keys, encrypt, decrypt = ((p, q, r), N), encrypt_II, decrypt_II
+        for seed in range(8):
+            msg = random.Random(seed).randbytes(256)
+            ct = encrypt(msg, *keys, random.Random(seed))
+            try:
+                assert decrypt(ct, *keys) == msg, seed
+            except AmbiguousRoot:
+                pass
+
 
 class TestNondeterminism:
     def test_different_seeds_differ(self):

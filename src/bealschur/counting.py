@@ -5,14 +5,15 @@ and the nontrivial count where at most one pairwise gcd of the exponents
 exceeds 1 or their lcm is at most 4, are closed forms at any modulus; other
 gcd patterns count over a discrete-log table.  A Fourier-side evaluation
 through the exponential sums S_k(ell) = sum_x exp(2 pi i k x^ell / N), which
-for k != 0 are Gauss periods of one O(N) pass over a generator's powers, is a
-floating cross-check that runs only when SolutionCount.fourier is read
-(``count --fourier``).  The table indexes an N-sized array of a generator's
-powers g^k, k < N-1, and a power histogram the (N-1)/d powers of g^d; the
-Gauss periods fold the same powers block by block in O(sqrt(N) + D) memory.
-Only these use numpy, with N < 2^31 for exact int64 products.
-verify_bound_chain evaluates the chain that forces a nontrivial solution once
-N > 32 p^2 q^2 r^2, and finds a witness.
+for k != 0 are Gauss periods of one O(N) pass over a generator's powers (half
+of them when each coset is closed under x -> -x), is a floating cross-check
+that runs only when SolutionCount.fourier is read (``count --fourier``).  The
+table indexes an N-sized array of a generator's powers g^k, k < N-1, and a
+power histogram the (N-1)/d powers of g^d; the Gauss periods fold the same
+powers block by block in O(sqrt(N) + D) memory.  Only these use numpy,
+with N < 2^31 for exact int64 products.  verify_bound_chain evaluates the
+chain that forces a nontrivial solution once N > 32 p^2 q^2 r^2, and finds a
+witness.
 """
 
 from __future__ import annotations
@@ -133,11 +134,12 @@ _BLOCK = 1 << 13  # powers per block of _gauss_periods: about 0.5 MB of temporar
 
 
 def _gauss_periods(D: int, modulus: PrimeModulus, d: int = 1, k: int = 1) -> np.ndarray:
-    """eta[j] = sum of exp(2 pi i k g^(d t) / N) over t < (N-1)/d, t = j (mod D), for j < D,
+    """eta[j] = sum of exp(2 pi i k g^(d t) / N) over t < c = (N-1)/d, t = j (mod D), j < D,
     a generator g and D d | N-1 (the Gauss periods at d = k = 1), in O(sqrt(N) + D)
     memory.  Each block of _power_blocks starts at t = 0 (mod D), so it folds straight
     into eta.  exp(2 pi i x / N) is hi[x >> s] lo[x & (2^s - 1)], from two tables of
-    about sqrt(N) phases reduced mod N."""
+    about sqrt(N) phases reduced mod N.  When 2D | c, g^(d c/2) = -1 and t + c/2 = t
+    (mod D): each period holds x and -x, and is P + conj(P) with P over t < c/2."""
     import numpy as np
     N = modulus.value
     s = (N.bit_length() + 1) // 2
@@ -145,9 +147,11 @@ def _gauss_periods(D: int, modulus: PrimeModulus, d: int = 1, k: int = 1) -> np.
     hi = np.exp((2j * math.pi / N) * ((np.arange(((N - 1) >> s) + 1) << s) % N))
     eta = np.zeros(D, dtype=np.complex128)
     a = pow(find_generator(modulus), d, N)
-    for x in _power_blocks(a, (N - 1) // d, N, D, _BLOCK, k):
+    c = (N - 1) // d
+    walk = c // 2 if c % (2 * D) == 0 else c
+    for x in _power_blocks(a, walk, N, D, _BLOCK, k):
         eta += np.einsum("ij->j", (hi[x >> s] * lo[x & ((1 << s) - 1)]).reshape(-1, D))
-    return eta
+    return eta + eta.conj() if walk < c else eta
 
 
 def exp_sum_table(ell: int, N) -> np.ndarray:

@@ -116,6 +116,19 @@ class TestCountCommand:
         assert fourier.startswith("fourier=")
         assert round(float(fourier.split("=")[1])) == 4617001
 
+    def test_whole_walk_fourier_rounds_to_count(self, capsys):
+        # D = 2 does not divide the odd (N-1)/2, so the Gauss periods walk all N-1
+        # powers, as in the packaging job
+        code, out, _ = invoke(
+            capsys, "count", "--p", "2", "--q", "2", "--r", "2", "--modulus", "1000003",
+            "--fourier",
+        )
+        assert code == 0
+        first, fourier = out.splitlines()
+        assert first == "M=1000006000009 trivial=4000009 nontrivial=1000002000000"
+        assert fourier.startswith("fourier=")
+        assert round(float(fourier.split("=")[1])) == 1000006000009
+
     def test_fourier_runs_only_on_request(self, capsys, monkeypatch):
         def refuse(*args):
             raise AssertionError("Fourier cross-check ran without --fourier")

@@ -166,6 +166,49 @@ class TestGaussPeriods:
                 cases += 1
         assert cases == 689
 
+    def test_matches_definition_at_every_d_and_k(self):
+        # every d | N-1 and D | c = (N-1)/d, at k = 1 and one seeded k; 2D | c walks half
+        branches = set()
+        for N in sieve_primes(399):
+            modulus = PrimeModulus(N)
+            g = find_generator(modulus)
+            for d in (d for d in range(1, N) if (N - 1) % d == 0):
+                c = (N - 1) // d
+                for k in (1, random.Random(N * N + d).randrange(1, N)):
+                    phases = [cmath.exp(2j * cmath.pi * (k * pow(g, d * t, N) % N) / N)
+                              for t in range(c)]
+                    for D in (D for D in range(1, c + 1) if c % D == 0):
+                        eta = counting._gauss_periods(D, modulus, d, k)
+                        want = np.array([sum(phases[j::D]) for j in range(D)])
+                        assert eta.shape == (D,), (N, d, k, D)
+                        assert np.max(np.abs(eta - want)) < 1e-9, (N, d, k, D)
+                        branches.add(c % (2 * D) == 0)
+        assert branches == {True, False}
+
+    @pytest.mark.parametrize(
+        # Fourier: D = 3 divides (N-1)/2 = 500016, D = 2 not the odd 500001;
+        # exp_sum at d = 2: D = 1, so c = (N-1)/2 halves when it is even
+        "call, walks",
+        [
+            (lambda: count_solutions_fourier(3, 3, 3, 1000033), [500016]),
+            (lambda: count_solutions_fourier(2, 2, 2, 1000003), [1000002]),
+            (lambda: exp_sum(1, 2, 1000033), [250008]),
+            (lambda: exp_sum(1, 2, 1000003), [500001]),
+        ],
+        ids=["fourier_333_half", "fourier_222_whole", "exp_sum_half", "exp_sum_whole"],
+    )
+    def test_walks_half_the_powers_when_cosets_hold_negatives(self, monkeypatch, call, walks):
+        seen = []
+        power_blocks = counting._power_blocks
+
+        def record(a, count, *args):
+            seen.append(count)
+            return power_blocks(a, count, *args)
+
+        monkeypatch.setattr(counting, "_power_blocks", record)
+        call()
+        assert seen == walks
+
 
 class TestWorkingMemory:
     """The Fourier count and exp_sum hold no N-sized array (numpy reports its buffers)."""

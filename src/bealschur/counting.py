@@ -7,13 +7,13 @@ gcd patterns count over a discrete-log table.  A Fourier-side evaluation
 through the exponential sums S_k(ell) = sum_x exp(2 pi i k x^ell / N), which
 for k != 0 are Gauss periods of one O(N) pass over a generator's powers (half
 of them when each coset is closed under x -> -x), is a floating cross-check
-that runs only when SolutionCount.fourier is read (``count --fourier``).  The
-table indexes an N-sized array of a generator's powers g^k, k < N-1, and a
-power histogram the (N-1)/d powers of g^d; the Gauss periods fold the same
-powers block by block in O(sqrt(N) + D) memory.  Only these use numpy,
-with N < 2^31 for exact int64 products.  verify_bound_chain evaluates the
-chain that forces a nontrivial solution once N > 32 p^2 q^2 r^2, and finds a
-witness.
+that runs only when SolutionCount.fourier is read (``count --fourier``).  Every
+walk over a generator's powers goes in blocks of about 4096: the discrete-log
+table, a power histogram and exp_sum_table fill their N-sized output from the
+blocks in O(sqrt(N)) working memory, and the Gauss periods fold them in
+O(sqrt(N) + D).  Only these use numpy, with N < 2^31 for exact int64 products.
+verify_bound_chain evaluates the chain that forces a nontrivial solution once
+N > 32 p^2 q^2 r^2, and finds a witness.
 """
 
 from __future__ import annotations
@@ -63,16 +63,23 @@ def _powers(a: int, count: int, N: int) -> np.ndarray:
     return out[:count]
 
 
-def _power_blocks(a: int, count: int, N: int, D: int = 1, size: int | None = None,
-                  start: int = 1):
-    """start a^t mod N for t < count, in int64 blocks of about size elements (one block
-    if size is None).  Each block is whole rows start a^(m i) [a^0 ... a^(m-1)], with
+# powers per block: a _gauss_periods block's complex temporaries then stay within 64 KiB.
+# At 8192 powers, freeing one lifts the heap's free top past glibc's 128 KiB trim
+# threshold, so every block faults its pages back in: half the time of a walk
+_BLOCK = 1 << 12
+
+
+def _power_blocks(a: int, count: int, N: int, D: int = 1, start: int = 1):
+    """start a^t mod N for t < count, in int64 blocks of at most _BLOCK elements (one row
+    if a row is longer).  Each block is whole rows start a^(m i) [a^0 ... a^(m-1)], with
     m ~ sqrt(count) a multiple of D | count, so it starts at t = 0 (mod D), and the cut
-    last row is a multiple of D long.  N < 2^31 keeps each product below 2^62."""
+    last row is a multiple of D long.  A walk holds O(sqrt(count) + _BLOCK) memory, and
+    per-block temporaries below glibc's trim threshold, so it takes no page faults.
+    N < 2^31 keeps each product below 2^62."""
     m = -(-math.isqrt(count) // D) * D
     rows = -(-count // m)
     baby, giant = _powers(a, m, N), _powers(pow(a, m, N), rows, N) * start % N
-    step = rows if size is None else max(1, size // m)
+    step = max(1, _BLOCK // m)
     for i in range(0, rows, step):
         block = giant[i : i + step, None] * baby
         block %= N
@@ -102,7 +109,8 @@ def power_histogram(ell: int, N) -> PowerHistogram:
     Nv = modulus.value
     d = math.gcd(ell, Nv - 1)
     freq = np.zeros(Nv, dtype=np.int64)
-    freq[next(_power_blocks(pow(find_generator(modulus), d, Nv), (Nv - 1) // d, Nv))] = d
+    for x in _power_blocks(pow(find_generator(modulus), d, Nv), (Nv - 1) // d, Nv):
+        freq[x] = d
     freq[0] = 1
     return PowerHistogram(freq=freq)
 
@@ -130,9 +138,6 @@ def exp_sum(k: int, ell: int, N) -> ExpSum:
     return ExpSum(k=k, value=complex(value))
 
 
-_BLOCK = 1 << 13  # powers per block of _gauss_periods: about 0.5 MB of temporaries
-
-
 def _gauss_periods(D: int, modulus: PrimeModulus, d: int = 1, k: int = 1) -> np.ndarray:
     """eta[j] = sum of exp(2 pi i k g^(d t) / N) over t < c = (N-1)/d, t = j (mod D), j < D,
     a generator g and D d | N-1 (the Gauss periods at d = k = 1), in O(sqrt(N) + D)
@@ -149,7 +154,7 @@ def _gauss_periods(D: int, modulus: PrimeModulus, d: int = 1, k: int = 1) -> np.
     a = pow(find_generator(modulus), d, N)
     c = (N - 1) // d
     walk = c // 2 if c % (2 * D) == 0 else c
-    for x in _power_blocks(a, walk, N, D, _BLOCK, k):
+    for x in _power_blocks(a, walk, N, D, k):
         eta += np.einsum("ij->j", (hi[x >> s] * lo[x & ((1 << s) - 1)]).reshape(-1, D))
     return eta + eta.conj() if walk < c else eta
 
@@ -163,8 +168,9 @@ def exp_sum_table(ell: int, N) -> np.ndarray:
     n = modulus.value - 1
     d = math.gcd(ell, n)
     table = np.full(n + 1, n + 1, dtype=np.complex128)  # S_0 = N; powers fill the rest
-    periods = np.tile(1 + d * _gauss_periods(d, modulus), n // d)
-    table[next(_power_blocks(find_generator(modulus), n, n + 1))] = periods
+    periods = 1 + d * _gauss_periods(d, modulus)
+    for x in _power_blocks(find_generator(modulus), n, n + 1, d):  # x[0] = g^j, d | j
+        table[x] = np.tile(periods, x.size // d)
     return table
 
 
@@ -306,7 +312,10 @@ def count_solutions_exact(p: int, q: int, r: int, N) -> SolutionCount:
     if T is None:
         import numpy as np
         ind = np.zeros(_array_modulus(modulus).value, dtype=np.int32)  # ind[g^k] = k
-        ind[next(_power_blocks(find_generator(modulus), n, Nv))] = np.arange(n, dtype=np.int32)
+        k = 0
+        for x in _power_blocks(find_generator(modulus), n, Nv):
+            ind[x] = np.arange(k, k + x.size, dtype=np.int32)
+            k += x.size
         t, t1 = ind[1:-1], ind[2:]
         admissible = (t % gpq == 0) & (t1 % gpr == 0) & ((t - t1) % gqr == 0)
         T = int(np.count_nonzero(admissible))
@@ -334,12 +343,16 @@ def count_solutions_fourier(p: int, q: int, r: int, N) -> float:
 
 
 def count_solutions_bruteforce(p: int, q: int, r: int, N) -> int:
-    """Reference O(N^3) triple loop; for cross-checks at tiny N only."""
-    Nv = _array_modulus(N, p, q, r).value
+    """Reference count over all triples, O(N^2) through a Counter of the z^r, for
+    cross-checks at small N: N above 2^12 raises ModulusTooLarge (4093 takes seconds)."""
+    from collections import Counter
+    Nv = _count_modulus(N, p, q, r).value
+    if Nv >= 1 << 12:
+        raise ModulusTooLarge(f"the brute force needs N below 2^12, got {Nv}")
     xp = [pow(x, p, Nv) for x in range(Nv)]
     yq = [pow(y, q, Nv) for y in range(Nv)]
-    zr = [pow(z, r, Nv) for z in range(Nv)]
-    return sum(zr.count((a + b) % Nv) for a in xp for b in yq)
+    zr = Counter(pow(z, r, Nv) for z in range(Nv))
+    return sum(zr[(a + b) % Nv] for a in xp for b in yq)
 
 
 @dataclass(frozen=True)

@@ -199,6 +199,15 @@ class TestCountCommand:
         assert out == ""
         assert err.startswith("error: ModulusTooLarge: ")
 
+    def test_brute_force_refuses_above_2_12(self, capsys):
+        # 4099 is the first prime above the cap, as in the packaging job
+        code, out, err = invoke(
+            capsys, "count", "--p", "1", "--q", "1", "--r", "1", "--modulus", "4099", "--brute"
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ModulusTooLarge: ")
+
     def test_exponent_below_one_is_usage_error(self, capsys):
         code, out, err = invoke(
             capsys, "count", "--p", "0", "--q", "2", "--r", "2", "--modulus", "7"

@@ -241,6 +241,75 @@ class TestWorkingMemory:
             tracemalloc.stop()
         assert peak < hist.freq.nbytes + (4 << 20), peak
 
+    def test_power_histogram_holds_no_whole_walk(self):
+        # all N-1 powers of g: a whole-walk int64 block would double freq
+        tracemalloc.start()
+        try:
+            hist = power_histogram(1, 2000113)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < hist.freq.nbytes + (1 << 20), peak
+
+    def test_table_count_below_14_bytes_per_residue(self):
+        # 6 | N-1: gcd pattern (6, 6, 6) counts through the int32 discrete-log table
+        N = 2000029
+        tracemalloc.start()
+        try:
+            count_solutions_exact(6, 6, 6, N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 14 * N, peak
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The block sizes of each _power_blocks walk, one list per walk, in call order."""
+    seen = []
+    power_blocks = counting._power_blocks
+
+    def record(*args):
+        sizes = []
+        seen.append(sizes)
+        for x in power_blocks(*args):
+            sizes.append(x.size)
+            yield x
+
+    monkeypatch.setattr(counting, "_power_blocks", record)
+    return seen
+
+
+class TestBlockedWalks:
+    """The array paths fill their N-sized output over several blocks, the last one cut."""
+
+    @staticmethod
+    def assert_blocks(blocks):
+        assert len(blocks) >= 3 and blocks[-1] < blocks[0], blocks
+
+    @pytest.mark.parametrize("p, q, r", [(6, 6, 6), (2, 8, 8)])
+    def test_table_count_matches_fft_oracle(self, walks, p, q, r):
+        N = 60169  # 24 | N-1: gcd patterns (6, 6, 6) and (2, 2, 8), with no closed form
+        assert not _has_closed_form(_gcd_pattern(p, q, r, N))
+        fp, fq, fr = (enumerated_histogram(e, N) for e in (p, q, r))
+        expected = int(_cyclic_convolution(fp, fq, N) @ fr)
+        assert count_solutions_exact(p, q, r, N).total == expected
+        self.assert_blocks(walks[-1])
+
+    @pytest.mark.parametrize("ell", [2, 3, 6])
+    def test_exp_sum_table_matches_fft_oracle(self, walks, ell):
+        N = 20011
+        got, want = exp_sum_table(ell, N), fft_exp_sum_table(ell, N)
+        assert np.max(np.abs(got - want)) < 1e-7
+        self.assert_blocks(walks[-1])  # the table's walk, after the Gauss periods'
+
+    @pytest.mark.parametrize(
+        "ell, N", [(1, 60169), (2, 60169), (3, 60169), (6, 60169), (1, 20011), (2, 20011)]
+    )
+    def test_power_histogram_matches_enumeration(self, walks, ell, N):
+        assert np.array_equal(power_histogram(ell, N).freq, enumerated_histogram(ell, N))
+        self.assert_blocks(walks[-1])
+
 
 class TestExactCount:
     def test_linear_case(self):
@@ -286,6 +355,14 @@ class TestExactCount:
         # pow(x, 0, N) is 1, so an unchecked brute force would count (0, 1, 1, 7) as 49
         with pytest.raises(ValueError, match="exponents must be positive"):
             count(*bad, 7)
+
+    def test_bruteforce_matches_and_refuses_above_2_12(self):
+        for N in (13, 101, 401):
+            for p, q, r in ((2, 4, 8), (3, 3, 3), (6, 6, 6)):
+                want = count_solutions_exact(p, q, r, N).total
+                assert count_solutions_bruteforce(p, q, r, N) == want, (p, q, r, N)
+        with pytest.raises(ModulusTooLarge, match="below 2\\^12"):
+            count_solutions_bruteforce(1, 1, 1, 4099)
 
     def test_fourier_field_is_close(self):
         for N in (7, 31, 101):

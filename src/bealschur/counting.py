@@ -6,12 +6,14 @@ exceeds 1 or their lcm is at most 4, are closed forms at any modulus; other
 gcd patterns count over a discrete-log table.  A Fourier-side evaluation
 through the exponential sums S_k(ell) = sum_x exp(2 pi i k x^ell / N), which
 for k != 0 are Gauss periods of one O(N) pass over a generator's powers (half
-of them when each coset is closed under x -> -x), is a floating cross-check
-that runs only when SolutionCount.fourier is read (``count --fourier``).  Every
-walk over a generator's powers goes in blocks of about 4096: the discrete-log
-table, a power histogram and exp_sum_table fill their N-sized output from the
-blocks in O(sqrt(N)) working memory, and the Gauss periods fold them in
-O(sqrt(N) + D).  Only these use numpy, with N < 2^31 for exact int64 products.
+of them when each coset is closed under x -> -x, and none of the last
+period's when the D periods tile F_N^* and so sum to -1), is a floating
+cross-check that runs only when SolutionCount.fourier is read (``count
+--fourier``).  Every walk over a generator's powers goes in blocks of about
+4096, each reduced mod N by floor division: the discrete-log table, a power
+histogram and exp_sum_table fill their N-sized output from the blocks in
+O(sqrt(N)) working memory, and the Gauss periods fold them in O(sqrt(N) + D).
+Only these use numpy, with N < 2^31 for exact int64 products.
 verify_bound_chain evaluates the chain that forces a nontrivial solution once
 N > 32 p^2 q^2 r^2, and finds a witness.
 """
@@ -63,27 +65,36 @@ def _powers(a: int, count: int, N: int) -> np.ndarray:
     return out[:count]
 
 
-# powers per block: a _gauss_periods block's complex temporaries then stay within 64 KiB.
-# At 8192 powers, freeing one lifts the heap's free top past glibc's 128 KiB trim
-# threshold, so every block faults its pages back in: half the time of a walk
+# powers per block, counting only those a walk keeps: a _gauss_periods block's complex
+# temporaries then stay within 64 KiB.  At 8192 powers, freeing one lifts the heap's free
+# top past glibc's 128 KiB trim threshold, so every block faults its pages back in: half
+# the time of a walk
 _BLOCK = 1 << 12
 
 
-def _power_blocks(a: int, count: int, N: int, D: int = 1, start: int = 1):
-    """start a^t mod N for t < count, in int64 blocks of at most _BLOCK elements (one row
-    if a row is longer).  Each block is whole rows start a^(m i) [a^0 ... a^(m-1)], with
-    m ~ sqrt(count) a multiple of D | count, so it starts at t = 0 (mod D), and the cut
-    last row is a multiple of D long.  A walk holds O(sqrt(count) + _BLOCK) memory, and
-    per-block temporaries below glibc's trim threshold, so it takes no page faults.
-    N < 2^31 keeps each product below 2^62."""
+def _power_blocks(
+    a: int, count: int, N: int, D: int = 1, start: int = 1, kept: int | None = None
+):
+    """start a^t mod N for t < count with t mod D < kept (every t by default), in int64
+    blocks of at most _BLOCK elements (one row if a row is longer).  Each block is whole
+    rows start a^(m i) [a^0 ... a^(m-1)], with m ~ sqrt(count) a multiple of D | count,
+    so it starts at t = 0 (mod D), and the cut last row is a multiple of D long; each
+    row keeps the first kept of every D powers.  A walk holds O(sqrt(count) + _BLOCK)
+    memory, and per-block temporaries below glibc's trim threshold, so it takes no page
+    faults.  N < 2^31 keeps each product below 2^62, and floor division by the scalar N
+    reduces the non-negative products faster than %."""
+    kept = D if kept is None else kept
+    if not kept:
+        return
     m = -(-math.isqrt(count) // D) * D
     rows = -(-count // m)
-    baby, giant = _powers(a, m, N), _powers(pow(a, m, N), rows, N) * start % N
-    step = max(1, _BLOCK // m)
+    baby = _powers(a, m, N).reshape(-1, D)[:, :kept].ravel()
+    giant = _powers(pow(a, m, N), rows, N) * start % N
+    step = max(1, _BLOCK // baby.size)
     for i in range(0, rows, step):
         block = giant[i : i + step, None] * baby
-        block %= N
-        yield block.ravel()[: count - m * i]
+        block -= block // N * N
+        yield block.ravel()[: (count - m * i) // D * kept]
 
 
 @dataclass(frozen=True)
@@ -144,7 +155,10 @@ def _gauss_periods(D: int, modulus: PrimeModulus, d: int = 1, k: int = 1) -> np.
     memory.  Each block of _power_blocks starts at t = 0 (mod D), so it folds straight
     into eta.  exp(2 pi i x / N) is hi[x >> s] lo[x & (2^s - 1)], from two tables of
     about sqrt(N) phases reduced mod N.  When 2D | c, g^(d c/2) = -1 and t + c/2 = t
-    (mod D): each period holds x and -x, and is P + conj(P) with P over t < c/2."""
+    (mod D): each period holds x and -x, and is P + conj(P) with P over t < c/2.  At
+    d = 1 the D cosets tile F_N^*, so the periods sum to -1 and the last one is not
+    walked: eta[D-1] = -1 - sum_{j<D-1} eta[j] (Gauss and Jacobi Sums, Berndt, Evans
+    and Williams)."""
     import numpy as np
     N = modulus.value
     s = (N.bit_length() + 1) // 2
@@ -154,9 +168,16 @@ def _gauss_periods(D: int, modulus: PrimeModulus, d: int = 1, k: int = 1) -> np.
     a = pow(find_generator(modulus), d, N)
     c = (N - 1) // d
     walk = c // 2 if c % (2 * D) == 0 else c
-    for x in _power_blocks(a, walk, N, D, k):
-        eta += np.einsum("ij->j", (hi[x >> s] * lo[x & ((1 << s) - 1)]).reshape(-1, D))
-    return eta + eta.conj() if walk < c else eta
+    kept = D - (d == 1)
+    for x in _power_blocks(a, walk, N, D, k, kept):
+        eta[:kept] += np.einsum(
+            "ij->j", (hi[x >> s] * lo[x & ((1 << s) - 1)]).reshape(-1, kept)
+        )
+    if walk < c:
+        eta += eta.conj()
+    if kept < D:
+        eta[-1] = -1 - eta[:-1].sum()
+    return eta
 
 
 def exp_sum_table(ell: int, N) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Exact modular arithmetic over a prime modulus.
 
 Exponentiation, primality certification, k-th power residue testing and
-k-th root extraction.  Primality has one rule, Miller-Rabin on the fixed
-bases 2..41 (``is_probable_prime``), and so does residuosity (``_is_power``:
+k-th root extraction.  Primality has one rule, Miller-Rabin on the fewest
+fixed bases proven to decide n (``_proven_bases``: {2} below 2047 up to
+Sinclair's seven below 2^64, then 2..41 up to psi_13; ``is_probable_prime``),
+and so does residuosity (``_is_power``:
 the Jacobi symbol at d = 2, Euler's criterion above).  With d = gcd(k, N-1),
 when gcd(k, (N-1)/d) = 1 the k-th root is c^e, e = k^-1 mod (N-1)/d, one
 exponentiation (this covers d = 1 and d = 2 with N = 3 mod 4).  That is the
@@ -43,6 +45,18 @@ DEFAULT_MR_ROUNDS = 40
 _MR_FIXED_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI_13 = 3317044064679887385961981
 
+# Fewer bases decide every n below each bound (OEIS A014233; Sinclair's seven
+# below 2^64, checked against Feitsma and Galway's base-2 strong pseudoprimes).
+# Each odd bound is a strong pseudoprime to its own set, which so stops there.
+_PROVEN_BASES = (
+    (2047, (2,)),
+    (1373653, (2, 3)),
+    (25326001, (2, 3, 5)),
+    (3215031751, (2, 3, 5, 7)),
+    (2152302898747, (2, 3, 5, 7, 11)),
+    (1 << 64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
+)
+
 _FALLBACK_SEED = 0x9E3779B97F4A7C15
 
 
@@ -69,7 +83,8 @@ class Residue:
 class PrimeModulus:
     """A certified prime.
 
-    Below psi_13 the 13 fixed Miller-Rabin bases prove the value prime;
+    Below psi_13 the fixed Miller-Rabin bases of ``_proven_bases`` prove the
+    value prime (one to seven of them below 2^64, the 13 bases 2..41 above);
     from psi_13 on ``rounds`` records the round count of the probable-prime
     test.  Construction re-certifies, so an instance is always valid.
     """
@@ -131,8 +146,18 @@ def _mr_witness(a: int, d: int, s: int, n: int) -> bool:
     return True
 
 
+def _proven_bases(n: int) -> tuple[int, ...]:
+    """The fixed bases that decide n: the first set of _PROVEN_BASES whose bound
+    exceeds n, else the 13 bases 2..41.  Every base is below n on the 2^64 branch."""
+    for bound, bases in _PROVEN_BASES:
+        if n < bound:
+            return bases
+    return _MR_FIXED_BASES
+
+
 def is_probable_prime(n: int, rounds: int = DEFAULT_MR_ROUNDS) -> bool:
-    """Miller-Rabin with the 13 fixed bases 2..41, whatever ``rounds`` is.
+    """Trial division by 2..41, then Miller-Rabin on the fixed bases of
+    ``_proven_bases``, whatever ``rounds`` is.
 
     They decide primality for every n < psi_13 ~ 3.3e24; from psi_13 on,
     rounds - 13 further bases come from a generator seeded by n.
@@ -146,7 +171,7 @@ def is_probable_prime(n: int, rounds: int = DEFAULT_MR_ROUNDS) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_FIXED_BASES:
+    for a in _proven_bases(n):
         if _mr_witness(a, d, s, n):
             return False
     if n >= _PSI_13:

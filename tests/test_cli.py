@@ -117,8 +117,8 @@ class TestCountCommand:
         assert round(float(fourier.split("=")[1])) == 4617001
 
     def test_whole_walk_fourier_rounds_to_count(self, capsys):
-        # D = 2 does not divide the odd (N-1)/2, so the Gauss periods walk all N-1
-        # powers, as in the packaging job
+        # D = 2 does not divide the odd (N-1)/2, so the Gauss periods walk every even t
+        # (the odd t's period is -1 less theirs), as in the packaging job
         code, out, _ = invoke(
             capsys, "count", "--p", "2", "--q", "2", "--r", "2", "--modulus", "1000003",
             "--fourier",
@@ -126,6 +126,18 @@ class TestCountCommand:
         assert code == 0
         first, fourier = out.splitlines()
         assert first == "M=1000006000009 trivial=4000009 nontrivial=1000002000000"
+        assert fourier.startswith("fourier=")
+        assert round(float(fourier.split("=")[1])) == 1000006000009
+
+    def test_one_period_fourier_rounds_to_count(self, capsys):
+        # D = 1: the one Gauss period is -1 with no power walked, as in the packaging job
+        code, out, _ = invoke(
+            capsys, "count", "--p", "1", "--q", "1", "--r", "1", "--modulus", "1000003",
+            "--fourier",
+        )
+        assert code == 0
+        first, fourier = out.splitlines()
+        assert first == "M=1000006000009 trivial=3000007 nontrivial=1000003000002"
         assert fourier.startswith("fourier=")
         assert round(float(fourier.split("=")[1])) == 1000006000009
 

@@ -186,28 +186,28 @@ class TestGaussPeriods:
         assert branches == {True, False}
 
     @pytest.mark.parametrize(
-        # Fourier: D = 3 divides (N-1)/2 = 500016, D = 2 not the odd 500001;
+        # Fourier: D = 3 divides (N-1)/2 = 500016, D = 2 not the odd 500001; at d = 1
+        # the last of the D periods is -1 less the others, so (D-1)/D of those are walked.
         # exp_sum at d = 2: D = 1, so c = (N-1)/2 halves when it is even
-        "call, walks",
+        "call, powers",
         [
-            (lambda: count_solutions_fourier(3, 3, 3, 1000033), [500016]),
-            (lambda: count_solutions_fourier(2, 2, 2, 1000003), [1000002]),
+            (lambda: count_solutions_fourier(3, 3, 3, 1000033), [333344]),
+            (lambda: count_solutions_fourier(2, 2, 2, 1000003), [500001]),
             (lambda: exp_sum(1, 2, 1000033), [250008]),
             (lambda: exp_sum(1, 2, 1000003), [500001]),
         ],
         ids=["fourier_333_half", "fourier_222_whole", "exp_sum_half", "exp_sum_whole"],
     )
-    def test_walks_half_the_powers_when_cosets_hold_negatives(self, monkeypatch, call, walks):
-        seen = []
-        power_blocks = counting._power_blocks
-
-        def record(a, count, *args):
-            seen.append(count)
-            return power_blocks(a, count, *args)
-
-        monkeypatch.setattr(counting, "_power_blocks", record)
+    def test_walks_half_the_powers_when_cosets_hold_negatives(self, walks, call, powers):
         call()
-        assert seen == walks
+        assert [sum(sizes) for sizes in walks] == powers
+
+    def test_one_period_walks_no_power(self, walks):
+        # D = d = 1: the one period is the sum over F_N^*, -1, so S_k(1) = 0 exactly
+        N = 1000003
+        assert round(count_solutions_fourier(1, 1, 1, N)) == count_solutions_exact(1, 1, 1, N).total
+        assert exp_sum(5, 1, N).value == 0
+        assert [sum(sizes) for sizes in walks] == [0, 0]
 
 
 class TestWorkingMemory:

@@ -417,6 +417,9 @@ class TestSerialization:
             assemble_keypair(pub, pub)
 
 
+GOLDEN_NAMES = ["kg1_seed4242", "kg2_seed4242", "kg1_48_64_seed4242", "kg2_48_64_seed4242"]
+
+
 class TestGolden:
     """Frozen serializations pin generation determinism across releases."""
 
@@ -425,6 +428,9 @@ class TestGolden:
         [
             ("kg1_seed4242", lambda: keygen_scheme1(4, (18, 24), random.Random(4242))),
             ("kg2_seed4242", lambda: keygen_scheme2(4, (18, 24), random.Random(4242))),
+            # 48..64 bits: N is proven prime by the seven bases of the 2^64 branch
+            ("kg1_48_64_seed4242", lambda: keygen_scheme1(8, (48, 64), random.Random(4242))),
+            ("kg2_48_64_seed4242", lambda: keygen_scheme2(8, (48, 64), random.Random(4242))),
         ],
     )
     def test_matches_golden_file(self, name, maker):
@@ -440,7 +446,7 @@ class TestGolden:
         + [(e, "intra-divisible") for e in "pqr"]
         + [(v, "bs-congruence") for v in "xyz"],
     )
-    @pytest.mark.parametrize("name", ["kg1_seed4242", "kg2_seed4242"])
+    @pytest.mark.parametrize("name", GOLDEN_NAMES)
     def test_single_field_edit_names_its_check(self, name, field, check, delta):
         texts = {}
         for suffix in ("pub", "priv"):
@@ -453,7 +459,7 @@ class TestGolden:
             assemble_keypair(parse_key(texts["pub"]), parse_key(texts["priv"]))
         assert err.value.check == check
 
-    @pytest.mark.parametrize("name", ["kg1_seed4242", "kg2_seed4242"])
+    @pytest.mark.parametrize("name", GOLDEN_NAMES)
     def test_golden_files_assemble(self, name):
         halves = [parse_key((DATA / f"{name}.{suffix}").read_text()) for suffix in ("pub", "priv")]
         check_key_invariants(assemble_keypair(*halves))

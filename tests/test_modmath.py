@@ -217,6 +217,38 @@ class TestPrimality:
         assert is_probable_prime(psi_13, rounds=13)
         assert not is_probable_prime(psi_13)
 
+    @staticmethod
+    def passes_bases(n, bases):
+        d, s = n - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        return not any(modmath._mr_witness(a, d, s, n) for a in bases)
+
+    def test_each_proven_bound_fools_its_own_bases(self):
+        # each odd bound is a strong pseudoprime to the set that decides below it, so
+        # that set cannot reach past it; the next set, or trial division, rejects it
+        odd = [(b, bases) for b, bases in modmath._PROVEN_BASES if b % 2]
+        odd.append((modmath._PSI_13, modmath._MR_FIXED_BASES))
+        assert [b for b, _ in odd] == [2047, 1373653, 25326001, 3215031751, 2152302898747,
+                                       3317044064679887385961981]
+        for bound, bases in odd:
+            assert self.passes_bases(bound, bases), bound
+            assert not is_probable_prime(bound), bound
+
+    def test_proven_bases_agree_with_the_13_fixed_bases(self):
+        # seeded odd n of 11..64 bits, about one in twenty of them prime
+        rng = random.Random(2011)
+        verdicts = set()
+        for _ in range(4000):
+            bits = rng.randrange(11, 65)
+            n = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+            fixed = all(n % p for p in modmath._MR_FIXED_BASES)
+            fixed = fixed and self.passes_bases(n, modmath._MR_FIXED_BASES)
+            assert is_probable_prime(n) == fixed, n
+            verdicts.add((fixed, len(modmath._proven_bases(n))))
+        assert {v for v, _ in verdicts} == {True, False}
+        assert {k for _, k in verdicts} == {1, 2, 3, 4, 5, 7}
+
     def test_certainty_recorded_rounds(self):
         pm = PrimeModulus(2**89 - 1, rounds=20)
         assert pm.certainty == "probable(20)"
